@@ -14,10 +14,11 @@ B-spline and sinh bounds decay exponentially in m.  Perturbations bounded by
 eps propagate to at most eps*(2 + L*phihat(0)) uniformly, with sqrt(m)-growth
 closed forms per window.
 
-eta is evaluated through cancellation-free complement forms (erfc for the
-Gaussian, tail integrals of the window transform for B-spline and sinh);
-these are algebraically identical to 1 minus the band integral because each
-window transform integrates to phi(0) = 1 over the whole line.
+Every band integral here is a difference of one window-transform tail
+T(x) = int_x^inf phihat(u) du (kernel.kernel_band_tail).  Because phihat
+integrates to phi(0) = 1, eta(v) = T(L/2-v) + T(L/2+v) with no cancellation
+against 1, and the image-band terms of the alias-aware E1 are the band
+integrals L*psihat(v) = T(v-L/2) - T(v+L/2) at v near jL.
 """
 
 from __future__ import annotations
@@ -29,15 +30,8 @@ from enum import Enum
 import numpy as np
 
 from . import specfun
-from .specfun import Quadrature
-from .windows import (
-    SamplingConfig,
-    WindowKind,
-    WindowSpec,
-    bspline_center_value,
-    window_ft_at_zero,
-)
-from .kernel import _sinh_scaled_tail
+from .kernel import KernelEval, ft_psi, kernel_band_tail
+from .windows import SamplingConfig, WindowKind, WindowSpec, window_ft_at_zero
 
 
 class ConditionViolated(ValueError):
@@ -45,104 +39,20 @@ class ConditionViolated(ValueError):
     fails; the closed-form bound is meaningless for this configuration."""
 
 
-_ETA_QUAD = Quadrature(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=2000)
-
-
-def _check_band(cfg: SamplingConfig, v: np.ndarray) -> None:
-    if v.size and np.max(np.abs(v)) > cfg.delta * (1.0 + 1e-12):
-        raise ValueError(f"eta is defined on |v| <= delta = {cfg.delta:g}")
-
-
-def _eta_rect(cfg: SamplingConfig, v: np.ndarray) -> np.ndarray:
-    from scipy.special import sici
-
-    a = 2.0 * math.pi * cfg.m / cfg.L
-    si_hi = sici(a * (cfg.L / 2.0 + v))[0]
-    si_lo = sici(a * (cfg.L / 2.0 - v))[0]
-    return 1.0 - (si_hi + si_lo) / math.pi
-
-
-def _eta_gauss(w: WindowSpec, cfg: SamplingConfig, v: np.ndarray) -> np.ndarray:
-    c = math.sqrt(2.0) * math.pi * w.sigma
-    return 0.5 * (specfun.erfc(c * (cfg.L / 2.0 - v)) + specfun.erfc(c * (cfg.L / 2.0 + v)))
-
-
-def _eta_bspline(w: WindowSpec, cfg: SamplingConfig, v: np.ndarray) -> np.ndarray:
-    # eta(v) = [T(Y-) + T(Y+)] / (pi*M), T(Y) = int_Y^inf (sin y / y)^{2s} dy,
-    # Y-+ = pi*m*(L/2 -+ v) / (s*L); T is taken as the complement of the
-    # cumulative integral from 0, whose half-line total is pi*M/2.
-    s, m, L = w.s, cfg.m, cfg.L
-    M0 = bspline_center_value(s)
-    two_s = 2 * s
-    y_lo = math.pi * m * (L / 2.0 - v) / (s * L)
-    y_hi = math.pi * m * (L / 2.0 + v) / (s * L)
-    ys = np.concatenate([[0.0], y_lo.ravel(), y_hi.ravel()])
-    order = np.argsort(ys, kind="stable")
-    nodes = ys[order]
-
-    def f(y):
-        return np.asarray(np.sinc(y / math.pi)) ** two_s
-
-    cum_sorted = specfun.gl_cumulative(f, nodes, max_width=0.3)
-    cum = np.empty_like(cum_sorted)
-    cum[order] = cum_sorted
-    half = math.pi * M0 / 2.0
-    t_lo = half - cum[1 : 1 + v.size].reshape(v.shape)
-    t_hi = half - cum[1 + v.size :].reshape(v.shape)
-    return (t_lo + t_hi) / (math.pi * M0)
-
-
-def _eta_sinh(w: WindowSpec, cfg: SamplingConfig, v: np.ndarray) -> np.ndarray:
-    # eta(v) = scaled_tail(W-) + scaled_tail(W+) at the band edges
-    # W-+ = 2*pi*m*(L/2 -+ v)/L of the scaled frequency w = 2*pi*m*u/L.
-    beta = w.beta
-    m, L = cfg.m, cfg.L
-    w_lo = 2.0 * math.pi * m * (L / 2.0 - v) / L
-    w_hi = 2.0 * math.pi * m * (L / 2.0 + v) / L
-    wmin = min(w_lo.min(), w_hi.min()) if v.size else beta
-    if wmin < beta * (1.0 - 1e-12):
-        # Band edge inside the I1 region (non-default beta): scalar fallback.
-        out = np.empty(v.shape)
-        for i, (a, b) in enumerate(zip(w_lo.ravel(), w_hi.ravel())):
-            out.ravel()[i] = (
-                _sinh_scaled_tail(a, beta, _ETA_QUAD) + _sinh_scaled_tail(b, beta, _ETA_QUAD)
-            )
-        return out
-    z_lo = np.sqrt(np.clip(w_lo * w_lo - beta * beta, 0.0, None))
-    z_hi = np.sqrt(np.clip(w_hi * w_hi - beta * beta, 0.0, None))
-    zs = np.concatenate([[0.0], z_lo.ravel(), z_hi.ravel()])
-    order = np.argsort(zs, kind="stable")
-    nodes = zs[order]
-
-    def f(z):
-        return specfun.bessel_j1(z) / np.sqrt(beta * beta + z * z)
-
-    cum_sorted = specfun.gl_cumulative(f, nodes, max_width=0.5)
-    cum = np.empty_like(cum_sorted)
-    cum[order] = cum_sorted
-    pref = beta * math.exp(-beta) / (-math.expm1(-2.0 * beta))  # beta/(2 sinh beta)
-    tail_at_beta = math.exp(-beta) / (1.0 + math.exp(-beta))  # pref * (1-e^-b)/b
-    t_lo = tail_at_beta - pref * cum[1 : 1 + v.size].reshape(v.shape)
-    t_hi = tail_at_beta - pref * cum[1 + v.size :].reshape(v.shape)
-    return t_lo + t_hi
-
-
 def eta(w: WindowSpec, cfg: SamplingConfig, v):
     """Band defect eta(v) = 1 - int_{v-L/2}^{v+L/2} phihat(u) du, |v| <= delta.
 
-    Even in v; its maximum modulus over the band drives the regularization
-    error constant E1.  Vectorized over v.
+    Evaluated as T(L/2-v) + T(L/2+v) from the window-transform tail T of
+    kernel_band_tail, which has no cancellation against 1.  Even in v; its
+    maximum modulus over the band drives the regularization error constant
+    E1.  Vectorized over v.
     """
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    _check_band(cfg, varr)
-    if w.kind is WindowKind.RECT:
-        out = _eta_rect(cfg, varr)
-    elif w.kind is WindowKind.GAUSS:
-        out = _eta_gauss(w, cfg, varr)
-    elif w.kind is WindowKind.BSPLINE:
-        out = _eta_bspline(w, cfg, varr)
-    else:
-        out = _eta_sinh(w, cfg, varr)
+    if varr.size and np.max(np.abs(varr)) > cfg.delta * (1.0 + 1e-12):
+        raise ValueError(f"eta is defined on |v| <= delta = {cfg.delta:g}")
+    half = cfg.L / 2.0
+    t = kernel_band_tail(w, cfg, np.concatenate([half - varr.ravel(), half + varr.ravel()]))
+    out = (t[: varr.size] + t[varr.size :]).reshape(varr.shape)
     return out if np.ndim(v) else float(out[0])
 
 
@@ -177,27 +87,6 @@ def e1_numeric(w: WindowSpec, cfg: SamplingConfig, grid_points: int = 4097) -> f
     return math.sqrt(2.0 * cfg.delta) * best
 
 
-def kernel_band_tail(w: WindowSpec, cfg: SamplingConfig, x: float) -> float:
-    """One-sided window-transform tail int_x^inf phihat(u) du for x >= 0."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if w.kind is WindowKind.GAUSS:
-        return 0.5 * specfun.erfc(math.sqrt(2.0) * math.pi * w.sigma * x)
-    if w.kind is WindowKind.RECT:
-        from scipy.special import sici
-
-        return 0.5 - sici(2.0 * math.pi * cfg.m * x / cfg.L)[0] / math.pi
-    if w.kind is WindowKind.BSPLINE:
-        s = w.s
-        M0 = bspline_center_value(s)
-        y = math.pi * cfg.m * x / (s * cfg.L)
-        head = specfun.integrate(
-            lambda t: float(np.sinc(t / math.pi)) ** (2 * s), 0.0, y, _ETA_QUAD
-        ).value
-        return (math.pi * M0 / 2.0 - head) / (math.pi * M0)
-    return _sinh_scaled_tail(2.0 * math.pi * cfg.m * x / cfg.L, w.beta, _ETA_QUAD)
-
-
 def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig, bands: int = 3,
                    grid_points: int = 129) -> float:
     """Sharp regularization constant including the spectral image bands.
@@ -210,15 +99,11 @@ def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig, bands: int = 3,
     This variant adds sqrt(2*delta) * sum_j max over band j of the band
     integral L*|psihat|, which provably dominates the measured error.
     """
-    extra = 0.0
-    for j in range(1, bands + 1):
-        vs = np.linspace(j * cfg.L - cfg.delta, j * cfg.L + cfg.delta, grid_points)
-        peak = max(
-            abs(kernel_band_tail(w, cfg, v - cfg.L / 2.0) - kernel_band_tail(w, cfg, v + cfg.L / 2.0))
-            for v in vs
-        )
-        extra += 2.0 * peak  # bands at +-j contribute equally (even transform)
-    return e1_numeric(w, cfg) + math.sqrt(2.0 * cfg.delta) * extra
+    L, delta = cfg.L, cfg.delta
+    v = np.concatenate([np.linspace(j * L - delta, j * L + delta, grid_points) for j in range(1, bands + 1)])
+    peaks = np.max(np.abs(L * ft_psi(KernelEval(w, cfg), v)).reshape(bands, grid_points), axis=1)
+    extra = 2.0 * float(np.sum(peaks))  # bands at +-j contribute equally (even transform)
+    return e1_numeric(w, cfg) + math.sqrt(2.0 * delta) * extra
 
 
 def e2_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:

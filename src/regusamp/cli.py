@@ -29,6 +29,7 @@ from .reconstruct import (
     IndexOutOfRange,
     TestFunction,
     TestFunctionKind,
+    check_finite,
     load_samples,
     reconstruct_at,
     sample,
@@ -139,6 +140,7 @@ def _cmd_reconstruct(args) -> int:
             print("--grid expects a,b,count", file=sys.stderr)
             return EXIT_USAGE
         points = np.linspace(a, b, count)
+    check_finite("targets", points)
     print("t,value")
     for t in points:
         try:
@@ -258,8 +260,20 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK if failed == 0 else EXIT_SELFTEST
 
 
+def _join_point_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--at VALUE`` and ``--grid VALUE`` as ``--at=VALUE`` and
+    ``--grid=VALUE``.  argparse reads a separate value that starts with '-'
+    and is not a plain decimal (-0.5,0.5,3 or -1e-3) as an option."""
+    out = []
+    it = iter(argv)
+    for arg in it:
+        value = next(it, None) if arg in ("--at", "--grid") else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "reconstruct":
             return _cmd_reconstruct(args)

@@ -4,13 +4,17 @@ transform.
 For each window the transform of psi is the window transform averaged over a
 frequency band of width L,
 
-    psihat(v) = (1/L) * int_{v-L/2}^{v+L/2} phihat(u) du,
+    psihat(v) = (1/L) * int_{v-L/2}^{v+L/2} phihat(u) du
+              = (T(v-L/2) - T(v+L/2)) / L,
 
-which this module evaluates in closed form (Gaussian: erf difference) or by
-quadrature of the closed-form phihat (B-spline, sinh).  A direct quadrature
-oracle of psi itself is provided for cross-validation.  Tail bounds quantify
-essential bandlimitation: psihat is negligible outside [-L(1+eps)/2,
-L(1+eps)/2].
+where T(x) = int_x^inf phihat(u) du is the window-transform tail.  T is the
+one primitive behind every band quantity of the package (psihat here, eta
+and the E1 constants in bounds).  kernel_band_tail evaluates it vectorized:
+in closed form for rect (sine integral) and Gaussian (erfc), and by
+cumulative Gauss-Legendre sums of the closed-form phihat for B-spline and
+sinh.  A direct quadrature oracle of psi itself, independent of T, is
+provided for cross-validation.  Tail bounds quantify essential
+bandlimitation: psihat is negligible outside [-L(1+eps)/2, L(1+eps)/2].
 """
 
 from __future__ import annotations
@@ -109,128 +113,94 @@ def ft_window(w: WindowSpec, cfg: SamplingConfig, v):
     return float(out[0]) if scalar else out
 
 
-def ft_psi_gauss(k: KernelEval, v):
-    """Transform of the Gaussian regularized sinc, as an erf difference:
+def _cumulative(f, nodes, max_width: float) -> np.ndarray:
+    """int_{min(nodes)}^e f for each e in ``nodes`` (any order), from one
+    gl_cumulative pass over the sorted nodes."""
+    order = np.argsort(nodes, kind="stable")
+    cum = np.empty_like(nodes)
+    cum[order] = specfun.gl_cumulative(f, nodes[order], max_width)
+    return cum
 
-    psihat(v) = (1/(2L)) * [erf(sqrt(2)*pi*sigma*(v+L/2))
-                            - erf(sqrt(2)*pi*sigma*(v-L/2))].
 
-    Even in v, positive, decreasing on [0, inf), with maximum
-    erf(sqrt(2)*pi*sigma*L/2)/L < 1/L at v = 0.
+def _tail(f, starts, total: float, max_width: float) -> np.ndarray:
+    """int_e^inf f for each e >= 0 in ``starts``, given int_0^inf f = total.
+
+    The integrals are accumulated downward from the largest start point, so
+    a difference of two tails is as accurate as the tails themselves even
+    where both are far below ``total`` (the image bands of psihat).
     """
-    if k.window.kind is not WindowKind.GAUSS:
-        raise WrongKind(f"ft_psi_gauss needs a gauss window, got {k.window.kind.value}")
-    v = np.asarray(v, dtype=float)
-    L = k.cfg.L
-    c = math.sqrt(2.0) * math.pi * k.window.sigma
-    out = (specfun.erf(c * (v + L / 2.0)) - specfun.erf(c * (v - L / 2.0))) / (2.0 * L)
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
+    back = _cumulative(lambda t: f(-t), -np.concatenate([[0.0], starts]), max_width)
+    return (total - back[0]) + back[1:]
 
 
-def ft_psi_bspline(k: KernelEval, v, q: Quadrature = Quadrature(abs_tol=1e-12, rel_tol=1e-12)):
-    """Transform of the B-spline regularized sinc,
+def kernel_band_tail(w: WindowSpec, cfg: SamplingConfig, x):
+    """Window-transform tail T(x) = int_x^inf phihat(u) du for any real x.
 
-    psihat(v) = m/(s*L^2*M_{2s}(0)) * int_{v-L/2}^{v+L/2}
-                sinc(pi*u*m/(s*L))^{2s} du,
+    phihat is even and integrates to phi(0) = 1, so T(0) = 1/2 and
+    T(-x) = 1 - T(x); the tail is evaluated at |x| and reflected.  Every band
+    quantity is a difference of tails, e.g. psihat(v) = (T(v-L/2) -
+    T(v+L/2))/L.  Vectorized over x; one pass per call whatever the size.
 
-    by adaptive quadrature of the closed-form window transform over the
-    length-L band.  Scalar in v (loops over arrays).
+    rect:    1/2 - Si(2*pi*m*x/L)/pi
+    gauss:   erfc(sqrt(2)*pi*sigma*x)/2
+    bspline: (1/(pi*M)) * int_Y^inf (sin y/y)^{2s} dy, Y = pi*m*x/(s*L),
+             M = M_{2s}(0); the half-line total is pi*M/2
+    sinh:    in the scaled frequency W = 2*pi*m*x/L, with p = beta/(2*sinh
+             beta) and T at W = beta equal to e^-beta/(1+e^-beta):
+             W >= beta: p * int_Z^inf J1(z)/sqrt(beta^2+z^2) dz,
+                        Z = sqrt(W^2-beta^2)  (w = beta*cosh t, z = beta*sinh t;
+                        the half-line total is (1-e^-beta)/beta)
+             W <  beta: T(beta) + p * int_0^{arccos(W/beta)} I1(beta*sin f) df
+                        (w = beta*cos f)
+             Every factor carries e^-beta, so nothing overflows for large beta.
+
+    The bspline and sinh integrals are cumulative Gauss-Legendre sums
+    (specfun.gl_cumulative) over all end points at once.
     """
-    if k.window.kind is not WindowKind.BSPLINE:
-        raise WrongKind(f"ft_psi_bspline needs a bspline window, got {k.window.kind.value}")
-    varr = np.atleast_1d(np.asarray(v, dtype=float))
-    L, m, s = k.cfg.L, k.cfg.m, k.window.s
-    coeff = m / (s * L * L * bspline_center_value(s))
-    f = lambda u: float(sinc(math.pi * u * m / (s * L))) ** (2 * s)
-    out = np.array([
-        coeff * specfun.integrate(f, vv - L / 2.0, vv + L / 2.0, q, points=[0.0]).value
-        for vv in varr
-    ])
-    return out if np.ndim(v) else float(out[0])
+    scalar = np.ndim(x) == 0
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x).ravel()
+    L, m = cfg.L, cfg.m
+    if w.kind is WindowKind.RECT:
+        from scipy.special import sici
 
-
-def _sinh_scaled_tail(W: float, beta: float, q: Quadrature) -> float:
-    """(beta/(2*sinh(beta))) * int_W^inf B(w) dw for W >= 0, where B is the
-    even Bessel profile of the sinh window transform.
-
-    Split at w = beta.  Above beta the substitution w = beta*cosh(t),
-    z = beta*sinh(t) turns the integral into int J1(z)/sqrt(beta^2+z^2) dz
-    with the closed-form total int_0^inf J1(beta*sinh t) dt =
-    (1-e^-beta)/beta, so the scaled tail at W = beta is exactly
-    e^-beta/(1+e^-beta).  Below beta the substitution w = beta*sin(theta)
-    gives an I1(beta*cos theta) integrand, evaluated in scaled form.  All
-    prefactors carry e^-beta so nothing overflows for large beta.
-    """
-    if W < 0:
-        raise ValueError("W must be >= 0")
-    pref = beta * math.exp(-beta) / (-math.expm1(-2.0 * beta))  # beta/(2 sinh beta)
-    tail_at_beta = math.exp(-beta) / (1.0 + math.exp(-beta))
-    if W >= beta:
-        Z = math.sqrt(max(W * W - beta * beta, 0.0))
-        if Z == 0.0:
-            return tail_at_beta
-        f = lambda z: specfun.bessel_j1(z) / math.sqrt(beta * beta + z * z)
-        H = specfun.integrate(f, 0.0, Z, q).value
-        return tail_at_beta - pref * H
-    theta0 = math.asin(min(W / beta, 1.0))
-    scale = beta / (-math.expm1(-2.0 * beta))
-
-    def g(th):
-        c = math.cos(th)
-        return scale * specfun.bessel_i1_scaled(beta * c) * math.exp(-beta * (1.0 - c))
-
-    I = specfun.integrate(g, theta0, math.pi / 2.0, q).value
-    return I + tail_at_beta
-
-
-def _sinh_S(wval: float, beta: float, q: Quadrature) -> float:
-    """Odd cumulative (beta/(2*sinh(beta))) * int_0^w B; equals 1/2 minus the
-    scaled tail for w >= 0 since the full-line integral of phihat is
-    phi(0) = 1."""
-    s = 0.5 - _sinh_scaled_tail(abs(wval), beta, q)
-    return math.copysign(s, wval) if wval != 0 else 0.0
-
-
-def ft_psi_sinh(k: KernelEval, v, q: Quadrature = Quadrature(abs_tol=1e-13, rel_tol=1e-12)):
-    """Transform of the sinh-type regularized sinc.
-
-    psihat(v) = (1/L) * int_{v-L/2}^{v+L/2} phihat(u) du with the piecewise
-    Bessel integrand of the sinh window; the integrand switches between its
-    I1 and J1 branches at the two roots w = +-beta of the scaled frequency
-    w = 2*pi*m*u/L, so the integral is assembled from odd cumulative pieces
-    that split exactly there.  Scalar in v (loops over arrays).
-    """
-    if k.window.kind is not WindowKind.SINH:
-        raise WrongKind(f"ft_psi_sinh needs a sinh window, got {k.window.kind.value}")
-    varr = np.atleast_1d(np.asarray(v, dtype=float))
-    L, m = k.cfg.L, k.cfg.m
-    beta = k.window.beta
-    out = np.empty(varr.shape)
-    for i, vv in enumerate(varr.ravel()):
-        w_hi = 2.0 * math.pi * m * (vv + L / 2.0) / L
-        w_lo = 2.0 * math.pi * m * (vv - L / 2.0) / L
-        out.ravel()[i] = (_sinh_S(w_hi, beta, q) - _sinh_S(w_lo, beta, q)) / L
-    return out if np.ndim(v) else float(out[0])
+        t = 0.5 - sici(2.0 * math.pi * m * a / L)[0] / math.pi
+    elif w.kind is WindowKind.GAUSS:
+        t = 0.5 * specfun.erfc(math.sqrt(2.0) * math.pi * w.sigma * a)
+    elif w.kind is WindowKind.BSPLINE:
+        s = w.s
+        half = math.pi * bspline_center_value(s) / 2.0
+        t = _tail(lambda y: np.sinc(y / math.pi) ** (2 * s), math.pi * m * a / (s * L), half, 0.3) / (2.0 * half)
+    else:
+        beta = w.beta
+        W = 2.0 * math.pi * m * a / L
+        pref = beta * math.exp(-beta) / (-math.expm1(-2.0 * beta))  # beta/(2 sinh beta)
+        scale = beta / (-math.expm1(-2.0 * beta))  # pref * e^beta
+        t = np.empty(a.shape)
+        above = W >= beta
+        t[above] = pref * _tail(
+            lambda z: specfun.bessel_j1(z) / np.sqrt(beta * beta + z * z),
+            np.sqrt(W[above] ** 2 - beta * beta), -math.expm1(-beta) / beta, 0.5,
+        )
+        # I1(beta*sin f) * pref = scale * i1e(beta*sin f) * e^{-beta*(1 - sin f)}
+        t[~above] = math.exp(-beta) / (1.0 + math.exp(-beta)) + _cumulative(
+            lambda f: scale * specfun.bessel_i1_scaled(beta * np.sin(f)) * np.exp(-beta * (1.0 - np.sin(f))),
+            np.concatenate([[0.0], np.arccos(W[~above] / beta)]), 0.05,
+        )[1:]
+    out = np.where(x.ravel() < 0, 1.0 - t, t).reshape(x.shape)
+    return float(out) if scalar else out
 
 
 def ft_psi(k: KernelEval, v):
-    """Closed-form psihat dispatched on the window kind (rect included,
-    via the sine-integral antiderivative of its band integral)."""
-    kind = k.window.kind
-    if kind is WindowKind.GAUSS:
-        return ft_psi_gauss(k, v)
-    if kind is WindowKind.BSPLINE:
-        return ft_psi_bspline(k, v)
-    if kind is WindowKind.SINH:
-        return ft_psi_sinh(k, v)
-    from scipy.special import sici
-
-    v = np.asarray(v, dtype=float)
-    L, m = k.cfg.L, k.cfg.m
-    a = 2.0 * math.pi * m / L
-    out = (sici(a * (v + L / 2.0))[0] - sici(a * (v - L / 2.0))[0]) / (math.pi * L)
-    return out if out.ndim else float(out)
+    """psihat(v) = (T(|v|-L/2) - T(|v|+L/2))/L for every window kind, from
+    one kernel_band_tail call.  Evaluating at |v| keeps it exactly even.
+    Vectorized over v."""
+    scalar = np.ndim(v) == 0
+    a = np.abs(np.asarray(v, dtype=float)).ravel()
+    half = k.cfg.L / 2.0
+    t = kernel_band_tail(k.window, k.cfg, np.concatenate([a - half, a + half]))
+    out = ((t[: a.size] - t[a.size :]) / k.cfg.L).reshape(np.shape(v))
+    return float(out) if scalar else out
 
 
 def ft_psi_quadrature(k: KernelEval, v, q: Quadrature = Quadrature(abs_tol=1e-11, rel_tol=1e-11)):

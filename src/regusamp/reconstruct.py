@@ -26,6 +26,18 @@ class IndexOutOfRange(IndexError):
     """The 2m-sample window around the target point is not covered."""
 
 
+class NonFiniteInput(ValueError):
+    """A target point or a sample value is NaN or infinite."""
+
+
+def check_finite(what: str, x) -> None:
+    """Raise NonFiniteInput unless every entry of ``x`` is finite."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteInput(f"{what} must be finite, got {float(x[~finite].ravel()[0])!r}")
+
+
 class TestFunctionKind(str, Enum):
     __test__ = False  # not a pytest collection target
 
@@ -107,6 +119,7 @@ class SampleSet:
                 f"values must have length {n} for index range "
                 f"[{self.index_lo}, {self.index_hi}], got shape {self.values.shape}"
             )
+        check_finite("sample values", self.values)
         self.values.flags.writeable = False
         if self.noise is not None:
             self.noise = np.asarray(self.noise, dtype=float)
@@ -182,6 +195,8 @@ def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float, use_noisy: bool = Fal
     are accumulated from the window edges inward (smallest kernel magnitude
     first); ``kahan`` adds compensated summation on top.
     """
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"target must be finite, got {t!r}")
     cfg = ss.cfg
     Lt = cfg.L * t
     j = round(Lt)
@@ -237,6 +252,7 @@ def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError("t must be one-dimensional")
+    check_finite("targets", t)
     L, m = cfg.L, cfg.m
     Lt = L * t
     j = np.rint(Lt)

@@ -11,7 +11,6 @@ the Eulerian numbers are implemented here directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -199,8 +198,8 @@ def gl_cumulative(f, nodes, max_width, order=15):
 
     Fixed-order Gauss-Legendre panels between consecutive nodes, with wide
     gaps subdivided to ``max_width`` so a panel never spans more than a
-    fraction of the integrand's oscillation scale.  ``nodes`` must be sorted
-    ascending; ``f`` must be vectorized.  Returns an array aligned with
+    fraction of the integrand's oscillation scale.  ``nodes`` must be finite
+    and sorted ascending; ``f`` must be vectorized.  Returns an array aligned with
     ``nodes``.  This is the bulk-evaluation companion of :func:`integrate`
     for the error-constant grids, where thousands of cumulative values of
     one smooth integrand are needed at once.
@@ -208,29 +207,31 @@ def gl_cumulative(f, nodes, max_width, order=15):
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:
         raise ValueError("nodes must be a 1-D array with at least one entry")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("nodes must be finite")
     if np.any(np.diff(nodes) < 0):
         raise ValueError("nodes must be sorted ascending")
     if nodes.size == 1:
         return np.zeros(1)
     xgl, wgl = np.polynomial.legendre.leggauss(order)
-    # Refined panel grid: original nodes plus uniform subdivision of wide gaps.
-    pieces = [nodes[:1]]
-    for lo, hi in zip(nodes[:-1], nodes[1:]):
-        gap = hi - lo
-        if gap <= 0:
-            pieces.append(np.array([hi]))
-            continue
-        nsub = max(1, int(math.ceil(gap / max_width)))
-        sub = lo + gap * np.arange(1, nsub + 1) / nsub
-        sub[-1] = hi  # keep original nodes exactly representable in the grid
-        pieces.append(sub)
-    grid = np.concatenate(pieces)
+    # Refined panel grid: gap i between nodes[i] and nodes[i+1] is split into
+    # nsub[i] uniform panels, whose points nodes[i] + gap*k/nsub for
+    # k = 1..nsub sit at grid positions ends[i]-nsub[i]+1 .. ends[i].  The
+    # last one is set to nodes[i+1] itself, so every original node lies
+    # exactly on the grid, at position ends[i].
+    gap = np.diff(nodes)
+    nsub = np.maximum(1, np.ceil(gap / max_width)).astype(np.int64)
+    ends = np.cumsum(nsub)
+    owner = np.repeat(np.arange(gap.size), nsub)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - nsub, nsub)
+    grid = np.empty(ends[-1] + 1)
+    grid[0] = nodes[0]
+    grid[1:] = nodes[owner] + gap[owner] * k / nsub[owner]
+    grid[ends] = nodes[1:]
     lo, hi = grid[:-1], grid[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     samples = f(mid[:, None] + half[:, None] * xgl[None, :])
     panel = half * (samples @ wgl)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
-    # Map back onto the original nodes (grid is a superset, in order).
-    pos = np.searchsorted(grid, nodes)
-    return cum[pos]
+    return cum[np.concatenate([[0], ends])]

@@ -149,7 +149,9 @@ def test_criterion_4_bound_dominance_approximation():
         # Known defect of the plain E1 constant: it ignores the spectral
         # image bands at +-jL, whose kernel-transform tails rival the
         # in-band defect for the compact windows at small tau.  See
-        # bounds.e1_alias_aware and the decisions ledger for the analysis.
+        # bounds.e1_alias_aware, tests/test_bounds.py::
+        # test_alias_bands_defeat_plain_e1 and the README's note on the
+        # acceptance suite for the analysis.
         detail += "; the plain E1 constant provably under-covers these cells"
     assert _report(4, detail, ok), (closed_failures[:4], e12_failures[:8])
 

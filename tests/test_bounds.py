@@ -21,7 +21,7 @@ from regusamp.bounds import (
     robustness_bound,
     sinh_bound,
 )
-from regusamp.kernel import KernelEval, ft_psi_bspline, ft_psi_gauss, ft_window
+from regusamp.kernel import KernelEval, ft_psi, ft_window
 from regusamp.windows import SamplingConfig, WindowKind, default_params, window_ft_at_zero
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
@@ -48,15 +48,22 @@ def test_eta_gauss_identity_with_transform():
     w = spec_for(WindowKind.GAUSS)
     k = KernelEval(w, CFG)
     for v in (0.0, 10.0, CFG.delta):
-        assert eta(w, CFG, v) == pytest.approx(1.0 - CFG.L * ft_psi_gauss(k, v), abs=1e-14)
+        assert eta(w, CFG, v) == pytest.approx(1.0 - CFG.L * ft_psi(k, v), abs=1e-14)
 
 
 def test_eta_bspline_against_band_quadrature():
+    # Direct band quadrature of the closed-form transform, independent of
+    # the tail that eta and ft_psi share.
     w = spec_for(WindowKind.BSPLINE)
-    k = KernelEval(w, CFG)
     for v in (0.0, CFG.delta / 3, CFG.delta):
-        direct = 1.0 - CFG.L * ft_psi_bspline(k, v)
-        assert eta(w, CFG, v) == pytest.approx(direct, abs=1e-9)
+        band = specfun.integrate(
+            lambda u: float(ft_window(w, CFG, u)),
+            v - CFG.L / 2.0,
+            v + CFG.L / 2.0,
+            specfun.Quadrature(abs_tol=1e-13, rel_tol=1e-12),
+            points=[0.0],
+        ).value
+        assert eta(w, CFG, v) == pytest.approx(1.0 - band, abs=1e-9)
     assert 0.0 < eta(w, CFG, 0.0) < 1.0
 
 
@@ -74,8 +81,8 @@ def test_eta_sinh_against_band_quadrature():
 
 
 def test_eta_sinh_case_one_branch():
-    # Case-1 beta puts the band edge inside the I1 region; the scalar
-    # fallback path must still match direct band quadrature.
+    # Case-1 beta puts the band edge inside the I1 region of the transform;
+    # the tail's I1 branch must still match direct band quadrature.
     w = spec_for(WindowKind.SINH, case_one=True)
     v = CFG.delta
     band = specfun.integrate(

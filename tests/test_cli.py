@@ -100,6 +100,46 @@ def test_reconstruct_grid_rows(sample_csv):
     assert ts == pytest.approx(list(np.linspace(-0.5, 0.5, 7)))
 
 
+def test_reconstruct_grid_negative_start_as_separate_argument(sample_csv):
+    path, _ = sample_csv
+    flags = ("reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+             "--tau", "1/3", "--m", "4", "--window", "sinh")
+    spaced = run_cli(*flags, "--grid", "-0.5,0.5,3")
+    joined = run_cli(*flags, "--grid=-0.5,0.5,3")
+    assert spaced.returncode == 0, spaced.stderr
+    assert joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+    assert len(spaced.stdout.strip().splitlines()) == 4
+    at = run_cli(*flags, "--at", "-1e-3")  # not a plain decimal either
+    assert at.returncode == 0, at.stderr
+    assert at.stdout == run_cli(*flags, "--at=-1e-3").stdout
+
+
+@pytest.mark.parametrize("flag,value", [("--at", "inf"), ("--at", "nan"), ("--grid", "-inf,0,3")])
+def test_reconstruct_non_finite_target_exit_2(sample_csv, flag, value):
+    path, _ = sample_csv
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", "gauss", "--sigma", "0.01", flag, value,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # rejected before the CSV header
+    assert "finite" in proc.stderr
+
+
+def test_reconstruct_non_finite_sample_exit_2(tmp_path):
+    path = tmp_path / "nan.csv"
+    rows = [f"{ell},{'nan' if ell == 3 else 0.5}" for ell in range(-CFG.L - CFG.m, CFG.L + CFG.m + 1)]
+    path.write_text("index,value\n" + "\n".join(rows) + "\n")
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", "rect", "--at", "0.01",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "finite" in proc.stderr
+
+
 def test_bounds_csv(sample_csv):
     proc = run_cli("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3",
                    "--window", "sinh", "--m", "2,5")

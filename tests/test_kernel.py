@@ -12,10 +12,7 @@ from regusamp.kernel import (
     KernelEval,
     WrongKind,
     ft_psi,
-    ft_psi_bspline,
-    ft_psi_gauss,
     ft_psi_quadrature,
-    ft_psi_sinh,
     ft_window,
     psi,
     sinc,
@@ -102,8 +99,8 @@ def test_ft_gauss_maximum_at_zero():
     k = kernel_for(WindowKind.GAUSS)
     sigma = k.window.sigma
     want = specfun.erf(math.sqrt(2.0) * math.pi * sigma * CFG.L / 2.0) / CFG.L
-    assert ft_psi_gauss(k, 0.0) == pytest.approx(want, rel=1e-14)
-    assert ft_psi_gauss(k, 0.0) < 1.0 / CFG.L
+    assert ft_psi(k, 0.0) == pytest.approx(want, rel=1e-14)
+    assert ft_psi(k, 0.0) < 1.0 / CFG.L
 
 
 def test_ft_gauss_even_and_decreasing():
@@ -111,15 +108,15 @@ def test_ft_gauss_even_and_decreasing():
     # not underflowed (beyond ~1.3L the true value drops under 1e-16/L).
     k = kernel_for(WindowKind.GAUSS)
     v = np.linspace(0.0, CFG.L, 100)
-    vals = ft_psi_gauss(k, v)
-    assert np.array_equal(ft_psi_gauss(k, -v), vals)
+    vals = ft_psi(k, v)
+    assert np.array_equal(ft_psi(k, -v), vals)
     assert np.all(np.diff(vals) < 0)
     assert np.all(vals > 0)
 
 
 def test_ft_bspline_maximum_below_reciprocal_scale():
     k = kernel_for(WindowKind.BSPLINE)
-    assert ft_psi_bspline(k, 0.0) < 1.0 / CFG.L
+    assert ft_psi(k, 0.0) < 1.0 / CFG.L
 
 
 def test_ft_bspline_normalization_identity():
@@ -139,7 +136,7 @@ def test_ft_sinh_even():
     k = kernel_for(WindowKind.SINH)
     rng = np.random.default_rng(41)
     for v in rng.uniform(0.0, CFG.L, 5):
-        assert ft_psi_sinh(k, float(v)) == pytest.approx(ft_psi_sinh(k, -float(v)), abs=1e-15)
+        assert ft_psi(k, float(v)) == pytest.approx(ft_psi(k, -float(v)), abs=1e-15)
 
 
 def test_ft_psi_maximum_bounded():
@@ -153,7 +150,7 @@ def test_ft_psi_maximum_bounded():
         assert np.all(vals <= 1.0 / CFG.L + 1e-12)
     k = kernel_for(WindowKind.SINH)
     beta = k.window.beta
-    vals = np.array([ft_psi_sinh(k, float(x)) for x in v])
+    vals = np.array([ft_psi(k, float(x)) for x in v])
     assert np.all(np.abs(vals) <= (1.0 + 3.0 * math.exp(-beta)) / CFG.L)
 
 
@@ -192,6 +189,73 @@ def test_ft_window_matches_quadrature():
             assert ft_window(w, CFG, v) == pytest.approx(want, abs=1e-10)
 
 
+def _phihat_mp(mp, w, cfg):
+    """Closed-form phihat(u) in mpmath, written out apart from the package,
+    with the break points of its band integrals: the zeros of the
+    oscillating factor every ``width`` (none for the Gaussian) and the sinh
+    Bessel branch points."""
+    L, m = mp.mpf(cfg.L), mp.mpf(cfg.m)
+    if w.kind is WindowKind.RECT:
+        return (lambda u: 2 * m / L * mp.sinc(2 * mp.pi * m * u / L)), L / (2 * m), []
+    if w.kind is WindowKind.GAUSS:
+        sig = mp.mpf(w.sigma)
+        return (lambda u: mp.sqrt(2 * mp.pi) * sig * mp.exp(-2 * (mp.pi * sig * u) ** 2)), None, []
+    if w.kind is WindowKind.BSPLINE:
+        s = w.s
+        # M_{2s}(0) from the alternating binomial sum, in exact integers.
+        num = sum((-1) ** j * math.comb(2 * s, j) * (s - j) ** (2 * s - 1) for j in range(s))
+        M0 = mp.mpf(num) / math.factorial(2 * s - 1)
+        return (lambda u: m / (s * L * M0) * mp.sinc(mp.pi * u * m / (s * L)) ** (2 * s)), s * L / m, []
+    beta = mp.mpf(w.beta)
+    pref = mp.pi * m * beta / (L * mp.sinh(beta))
+
+    def f(u):
+        x2 = (2 * mp.pi * m * u / L) ** 2 - beta**2
+        if x2 > 0:
+            return pref * mp.besselj(1, mp.sqrt(x2)) / mp.sqrt(x2)
+        if x2 < 0:
+            return pref * mp.besseli(1, mp.sqrt(-x2)) / mp.sqrt(-x2)
+        return pref / 2
+
+    branch = beta * L / (2 * mp.pi * m)
+    return f, L / (4 * m), [-branch, branch]
+
+
+def _band_mp(mp, w, cfg, v):
+    """int_{v-L/2}^{v+L/2} phihat at the working precision of mp."""
+    f, width, breaks = _phihat_mp(mp, w, cfg)
+    a, b = mp.mpf(v) - mp.mpf(cfg.L) / 2, mp.mpf(v) + mp.mpf(cfg.L) / 2
+    pts = {a, b} | {x for x in breaks if a < x < b}
+    if width is not None:
+        pts |= {k * width for k in range(int(mp.ceil(a / width)), int(mp.floor(b / width)) + 1)}
+    return mp.quad(f, sorted(x for x in pts if a <= x <= b))
+
+
+@pytest.mark.parametrize("kind,case_one", [
+    (WindowKind.RECT, False), (WindowKind.GAUSS, False), (WindowKind.BSPLINE, False),
+    (WindowKind.SINH, False), (WindowKind.SINH, True),
+])
+def test_band_quantities_against_mpmath(kind, case_one):
+    # psihat and eta, both differences of the transform tail, against a
+    # 20-digit band integral of the closed-form phihat: in the band, across
+    # the transition near L/2 (the sinh I1 branch) and in the image bands
+    # j = 1..3.  eta = 1 - L*psihat in the band, so its tolerance is the
+    # psihat tolerance 1e-13/L in units of L*psihat.
+    mp = pytest.importorskip("mpmath")
+    from regusamp.bounds import eta
+
+    k = kernel_for(kind, case_one=case_one)
+    L, d = CFG.L, CFG.delta
+    freqs = [0.0, -d / 2, d, 0.45 * L, -0.5 * L, 0.55 * L]
+    freqs += [j * L + off for j in (1, 2, 3) for off in (-d, d / 3)]
+    band_v = [0.0, d / 2, -d]
+    with mp.workdps(20):
+        want_psi = np.array([float(_band_mp(mp, k.window, CFG, v) / L) for v in freqs])
+        want_eta = np.array([float(1 - _band_mp(mp, k.window, CFG, v)) for v in band_v])
+    assert np.max(np.abs(ft_psi(k, np.array(freqs)) - want_psi)) <= 1e-13 / L
+    assert np.max(np.abs(eta(k.window, CFG, np.array(band_v)) - want_eta)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Tail bounds (essential bandlimitation)
 
@@ -201,7 +265,7 @@ def test_tail_bound_gauss():
     eps = 0.5
     bound = tail_bound(k, eps)
     v = CFG.L * (1 + eps) / 2.0 * 1.01
-    assert 0 < ft_psi_gauss(k, v) <= bound
+    assert 0 < ft_psi(k, v) <= bound
     with pytest.raises(EpsilonOutOfRange):
         tail_bound(k, 1.5)
 
@@ -212,7 +276,7 @@ def test_tail_bound_bspline():
     eps = 2.0 * s / (CFG.m * math.pi) * 1.5
     bound = tail_bound(k, eps)
     v = CFG.L * (1 + eps) / 2.0 * 1.01
-    assert abs(ft_psi_bspline(k, v)) <= bound
+    assert abs(ft_psi(k, v)) <= bound
     with pytest.raises(EpsilonOutOfRange):
         tail_bound(k, 2.0 * s / (CFG.m * math.pi))
 
@@ -223,7 +287,7 @@ def test_tail_bound_sinh():
     eps = 4.0 * s / CFG.m
     bound = tail_bound(k, eps)
     v = CFG.L * (1 + eps) / 2.0 * 1.01
-    assert abs(ft_psi_sinh(k, v)) <= bound
+    assert abs(ft_psi(k, v)) <= bound
     with pytest.raises(EpsilonOutOfRange):
         tail_bound(k, eps * 0.9)
 
@@ -231,15 +295,6 @@ def test_tail_bound_sinh():
 def test_tail_bound_rect_unsupported():
     with pytest.raises(WrongKind):
         tail_bound(kernel_for(WindowKind.RECT), 0.5)
-
-
-def test_wrong_kind_transforms():
-    with pytest.raises(WrongKind):
-        ft_psi_gauss(kernel_for(WindowKind.RECT), 0.0)
-    with pytest.raises(WrongKind):
-        ft_psi_bspline(kernel_for(WindowKind.GAUSS), 0.0)
-    with pytest.raises(WrongKind):
-        ft_psi_sinh(kernel_for(WindowKind.BSPLINE), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +311,7 @@ def test_diag_gauss_inband_deviation():
         -math.pi**2 * sigma**2 * CFG.L**2 * eps**2 / 2.0
     )
     for v in np.linspace(0.0, CFG.L * (1 - eps) / 2.0, 9):
-        dev = 1.0 / CFG.L - ft_psi_gauss(k, float(v))
+        dev = 1.0 / CFG.L - ft_psi(k, float(v))
         assert 0.0 < dev <= cap
 
 

@@ -8,6 +8,7 @@ import pytest
 from regusamp.kernel import KernelEval, psi
 from regusamp.reconstruct import (
     IndexOutOfRange,
+    NonFiniteInput,
     SampleSet,
     TestFunction,
     TestFunctionKind,
@@ -224,6 +225,18 @@ def test_grid_out_of_range():
         reconstruct_grid(ss, w, np.linspace(-1, 1, 11))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_targets_rejected(bad):
+    ss = full_sample_set()
+    w = default_params(WindowKind.GAUSS, CFG)
+    with pytest.raises(NonFiniteInput):
+        reconstruct_at(ss, w, bad)
+    with pytest.raises(NonFiniteInput):
+        reconstruct_grid(ss, w, np.array([0.1, bad]))
+    with pytest.raises(NonFiniteInput):
+        kernel_matrix(CFG, w, np.array([bad]))
+
+
 def test_kernel_matrix_shapes():
     idx, weights, ongrid, j = kernel_matrix(CFG, default_params(WindowKind.SINH, CFG), np.array([0.3, 1.0]))
     assert idx.shape == weights.shape == (2, 2 * CFG.m)
@@ -286,3 +299,12 @@ def test_csv_rejects_gaps(tmp_path):
     path.write_text("index,value\n0,1.0\n2,2.0\n")
     with pytest.raises(ValueError):
         load_samples(path, CFG)
+
+
+def test_non_finite_samples_rejected(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("index,value\n0,1.0\n1,nan\n2,2.0\n")
+    with pytest.raises(NonFiniteInput):
+        load_samples(path, CFG)
+    with pytest.raises(NonFiniteInput):
+        SampleSet(CFG, 0, 1, np.array([1.0, math.inf]))
