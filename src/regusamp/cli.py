@@ -139,6 +139,9 @@ def _cmd_reconstruct(args) -> int:
         except ValueError:
             print("--grid expects a,b,count", file=sys.stderr)
             return EXIT_USAGE
+        if count < 1:
+            print(f"--grid count must be >= 1, got {count}", file=sys.stderr)
+            return EXIT_USAGE
         points = np.linspace(a, b, count)
     check_finite("targets", points)
     print("t,value")
@@ -215,11 +218,15 @@ def _cmd_selftest(_args) -> int:
         F(specfun.eulerian_number(5, 3), math.factorial(5)) == F(11, 20),
     )
     check(
-        "M_{2s}(0) matches recurrence, s=1..8",
+        "M_{2s}(0) evaluates to its exact value, s=1..8",
         all(
             abs(float(specfun.m2s_at_zero(s)) - specfun.cardinal_bspline(2 * s, 0.0)) <= 1e-13
             for s in range(1, 9)
         ),
+    )
+    check(
+        "M_8(3/2) = 20219/215040",
+        abs(specfun.cardinal_bspline(8, 1.5) - float(F(20219, 215040))) <= 2.5e-16,
     )
     check("erf(1)", abs(specfun.erf(1.0) - 0.8427007929497149) <= 1e-15)
     x = 1e-6

@@ -5,14 +5,16 @@ scalars or numpy arrays and broadcast elementwise.  The error function and
 Bessel functions are delegated to scipy.special (Cephes / AMOS), which meets
 the accuracy targets of this package (erf absolute error <= 1e-15, J1/I1
 relative error <= 1e-12 away from their zeros); odd symmetry is enforced by
-construction.  The centered cardinal B-spline, its exact center values and
-the Eulerian numbers are implemented here directly.
+construction.  The centered cardinal B-spline (piecewise Horner on exact
+piece coefficients), its exact center values and the Eulerian numbers are
+implemented here directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -90,25 +92,52 @@ def bessel_i1_scaled(x):
 def cardinal_bspline(order_2s, x):
     """Centered cardinal B-spline M_{2s}(x) of even order ``order_2s``.
 
-    Evaluated through the two-term de Boor recurrence on the shifted spline
-    N_{2s} with uniform knots 0..2s, then recentered (M_{2s}(x) =
-    N_{2s}(x + s)).  Supported on [-s, s], nonnegative, integrates to 1; the
-    half-open knot intervals make the value at both support endpoints 0,
-    consistent with continuity for order >= 2.
+    M_{2s} is supported on [-s, s] and is a polynomial of degree 2s-1 on each
+    unit piece between the integer knots.  It is evaluated in the distance
+    to the support edge, w = s - |x|: on piece p = floor(w) (clipped to
+    0..s-1) it is a polynomial in the local variable u = w - p, evaluated by
+    Horner's rule with the coefficients of :func:`_bspline_pieces`.  Only
+    |x| enters, so the result is exactly even; the outermost piece is
+    u^{2s-1}/(2s-1)!, so values near the edge carry no cancellation; the
+    result is exactly 0 for |x| >= s.  NaN propagates.
     """
     order = int(order_2s)
     if order != order_2s or order < 2 or order % 2:
         raise InvalidOrder(f"order must be an even integer >= 2, got {order_2s!r}")
-    x = np.asarray(x, dtype=float)
-    t = x + order / 2.0
-    cols = [((t >= j) & (t < j + 1)).astype(float) for j in range(order)]
-    for k in range(2, order + 1):
-        cols = [
-            ((t - j) * cols[j] + (j + k - t) * cols[j + 1]) / (k - 1)
-            for j in range(order - k + 1)
-        ]
-    out = cols[0]
+    s = order // 2
+    coef = _bspline_pieces(s)
+    w = s - np.abs(np.asarray(x, dtype=float))
+    # fmax maps NaN to piece 0, where u keeps the NaN; |x| >= s gives u = 0.
+    p = np.floor(np.minimum(np.fmax(w, 0.0), s - 1))
+    u = np.maximum(w - p, 0.0)
+    piece = p.astype(np.intp)
+    out = np.take(coef[-1], piece)
+    for row in coef[-2::-1]:
+        out = out * u + np.take(row, piece)
     return out if out.ndim else float(out)
+
+
+@lru_cache(maxsize=64)
+def _bspline_pieces(s: int) -> np.ndarray:
+    """Piece coefficients of M_{2s}, rounded once from exact rationals.
+
+    Row k, column p holds the coefficient of u^k on piece p, where
+    w = s - |x| = p + u with 0 <= u <= 1.  They come from the truncated-power
+    form M_{2s}(x) = (1/(2s-1)!) sum_i (-1)^i C(2s, i) (w - i)_+^{2s-1}: on
+    piece p the terms i = 0..p are active, and (p - i + u)^{2s-1} is expanded
+    binomially in Fraction arithmetic.  The array is read-only.
+    """
+    n = 2 * s - 1
+    scale = Fraction(1, factorial(n))
+    coef = np.empty((n + 1, s))
+    for p in range(s):
+        for k in range(n + 1):
+            total = sum(
+                (-1) ** i * comb(2 * s, i) * (p - i) ** (n - k) for i in range(p + 1)
+            )
+            coef[k, p] = float(comb(n, k) * total * scale)
+    coef.setflags(write=False)
+    return coef
 
 
 def m2s_at_zero(s):

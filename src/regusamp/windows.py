@@ -21,6 +21,10 @@ import numpy as np
 from . import specfun
 
 
+class InvalidConfig(ValueError):
+    """A sampling configuration or window parameter outside its valid range."""
+
+
 class WindowKind(str, Enum):
     RECT = "rect"
     GAUSS = "gauss"
@@ -45,25 +49,25 @@ class SamplingConfig:
     m: int
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam!r}")
+        if not (self.N >= 1 and float(self.N).is_integer()):
+            raise InvalidConfig(f"N must be a positive integer, got {self.N!r}")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidConfig(f"lam must be finite and >= 0, got {self.lam!r}")
         if not 0.0 < self.tau < 0.5:
-            raise ValueError(f"tau must lie in (0, 1/2), got {self.tau!r}")
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
+            raise InvalidConfig(f"tau must lie in (0, 1/2), got {self.tau!r}")
+        if not (self.m >= 2 and float(self.m).is_integer()):
+            raise InvalidConfig(f"m must be an integer >= 2, got {self.m!r}")
         L_real = self.N * (1.0 + self.lam)
         L = round(L_real)
         if abs(L_real - L) > 1e-9 or L < 1:
-            raise ValueError(
+            raise InvalidConfig(
                 f"N*(1+lam) = {L_real!r} is not an integer; sample grid undefined"
             )
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "_L", int(L))
         if 2 * self.m > L:
-            raise ValueError(f"need 2m <= L, got m={self.m}, L={L}")
+            raise InvalidConfig(f"need 2m <= L, got m={self.m}, L={L}")
         if 2 * self.m > L / 4:
             warnings.warn(
                 f"2m = {2 * self.m} exceeds L/4 = {L / 4:g}; the localized-sampling "
@@ -97,7 +101,10 @@ class WindowSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        kind = WindowKind(self.kind)
+        try:
+            kind = WindowKind(self.kind)
+        except ValueError:
+            raise InvalidConfig(f"unknown window kind {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
         present = {
             name: val
@@ -112,20 +119,20 @@ class WindowSpec:
         }[kind]
         if required is None:
             if present:
-                raise ValueError(f"rect window takes no shape parameter, got {present}")
+                raise InvalidConfig(f"rect window takes no shape parameter, got {present}")
             return
         if set(present) != {required}:
-            raise ValueError(
+            raise InvalidConfig(
                 f"{kind.value} window needs exactly the parameter {required!r}, got {present}"
             )
         if required == "sigma" and not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
+            raise InvalidConfig(f"sigma must be > 0, got {self.sigma!r}")
         if required == "s":
-            if int(self.s) != self.s or self.s < 2:
-                raise ValueError(f"s must be an integer >= 2, got {self.s!r}")
+            if not (self.s >= 2 and float(self.s).is_integer()):
+                raise InvalidConfig(f"s must be an integer >= 2, got {self.s!r}")
             object.__setattr__(self, "s", int(self.s))
         if required == "beta" and not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+            raise InvalidConfig(f"beta must be > 0, got {self.beta!r}")
 
 
 def default_params(kind, cfg: SamplingConfig, case_one: bool = False) -> WindowSpec:

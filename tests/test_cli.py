@@ -7,15 +7,19 @@ import sys
 import numpy as np
 import pytest
 
+import regusamp
 from regusamp.reconstruct import TestFunction, TestFunctionKind, sample, save_samples
 from regusamp.windows import SamplingConfig
 
 CFG = SamplingConfig(32, 1.0, 1 / 3, 4)
+# The CLI subprocess imports the package the tests imported, installed or not.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(regusamp.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("REGUSAMP_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -65,6 +69,30 @@ def test_reconstruct_on_grid_echoes_sample(sample_csv):
     assert lines[0] == "t,value"
     t_out, val_out = lines[1].split(",")
     assert float(val_out) == pytest.approx(ss.values[ell - ss.index_lo], rel=1e-12)
+
+
+def test_reconstruct_empty_grid_exit_2(sample_csv):
+    path, _ = sample_csv
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", "rect", "--grid=-0.5,0.5,0",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # rejected before the CSV header
+    assert "count" in proc.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--tau", "0.6"), ("--lambda", "inf")])
+def test_reconstruct_out_of_range_config_exit_2(sample_csv, flag, value):
+    path, _ = sample_csv
+    settings = {"--N": "32", "--lambda": "1", "--tau": "1/3", "--m": "4", flag: value}
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--window", "rect", "--at", "0.01",
+        *(arg for item in settings.items() for arg in item),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag.lstrip("-").replace("lambda", "lam") in proc.stderr
 
 
 def test_reconstruct_default_sigma_on_stderr(sample_csv):

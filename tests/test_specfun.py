@@ -226,6 +226,41 @@ def test_bspline_partition_of_unity():
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
+def bspline_truncated_powers(s: int, x: float) -> Fraction:
+    """M_{2s}(x) = (1/(2s-1)!) sum_i (-1)^i C(2s, i) (x + s - i)_+^{2s-1}, exact."""
+    t = Fraction(x) + s
+    n = 2 * s - 1
+    total = sum((-1) ** i * math.comb(2 * s, i) * (t - i) ** n for i in range(2 * s + 1) if t > i)
+    return total / math.factorial(n)
+
+
+def test_bspline_exact_witness():
+    # Every order 2..32 against the exact truncated-power sum at the float
+    # inputs themselves: one random point in each unit piece (so a shifted
+    # coefficient row or an off-by-one piece index shows), more random
+    # points, every knot and knot +- 1e-12, points next to +-s and points
+    # outside the support.
+    rng = np.random.default_rng(23)
+    for s in range(1, 17):
+        knots = np.arange(-s, s + 1, dtype=float)
+        edge = np.nextafter(float(s), 0.0)
+        inside = np.concatenate([
+            np.arange(-s, s) + rng.uniform(0.0, 1.0, 2 * s),
+            rng.uniform(-s, s, 20),
+            knots, knots + 1e-12, knots - 1e-12,
+            [edge, -edge, s - 1e-9, 1e-9 - s, s - 1e-3],
+        ])
+        vals = cardinal_bspline(2 * s, inside)
+        worst = max(
+            abs(Fraction(float(v)) - bspline_truncated_powers(s, float(x)))
+            for x, v in zip(inside, vals)
+        )
+        assert worst <= 2.5e-16, (s, float(worst))
+        assert np.array_equal(cardinal_bspline(2 * s, -inside), vals)
+        outside = np.array([s, -s, np.nextafter(float(s), np.inf), s + 0.25, -s - 0.25, 1e6, -np.inf])
+        assert np.all(cardinal_bspline(2 * s, outside) == 0.0)
+
+
 def test_bspline_invalid_order():
     with pytest.raises(InvalidOrder):
         cardinal_bspline(3, 0.0)
@@ -254,7 +289,7 @@ def test_m2s_large_order():
     assert abs(float(m2s_at_zero(50)) - 0.137990) <= 5e-7
 
 
-def test_m2s_matches_recurrence():
+def test_m2s_matches_bspline_at_zero():
     for s in range(1, 11):
         assert abs(float(m2s_at_zero(s)) - cardinal_bspline(2 * s, 0.0)) <= 1e-13
 

@@ -7,6 +7,7 @@ import pytest
 
 from regusamp import specfun
 from regusamp.windows import (
+    InvalidConfig,
     SamplingConfig,
     WindowKind,
     WindowSpec,
@@ -74,6 +75,26 @@ def test_windowspec_parameter_discipline():
         WindowSpec(WindowKind.BSPLINE, s=1)
     with pytest.raises(ValueError):
         WindowSpec(WindowKind.SINH, beta=0.0)
+
+
+def test_config_errors_are_typed():
+    bad_configs = [
+        (0, 1.0, 1 / 3, 5), (128, 1.0, 0.6, 5), (128, 0.3, 1 / 3, 5), (4, 0.0, 1 / 3, 3),
+        (128, math.inf, 1 / 3, 5), (128, math.nan, 1 / 3, 5), (math.inf, 1.0, 1 / 3, 5),
+        (math.nan, 1.0, 1 / 3, 5), (128, 1.0, math.nan, 5), (128, 1.0, 1 / 3, math.inf),
+        (128, 1.0, 1 / 3, 2.5),
+    ]
+    for args in bad_configs:
+        with pytest.raises(InvalidConfig):
+            SamplingConfig(*args)
+    bad_windows = [
+        ("triangle", {}), (WindowKind.GAUSS, {}), (WindowKind.GAUSS, {"sigma": math.nan}),
+        (WindowKind.BSPLINE, {"s": math.inf}), (WindowKind.BSPLINE, {"s": 2.5}),
+        (WindowKind.SINH, {"beta": -1.0}),
+    ]
+    for kind, params in bad_windows:
+        with pytest.raises(InvalidConfig):
+            WindowSpec(kind, **params)
 
 
 # ---------------------------------------------------------------------------
