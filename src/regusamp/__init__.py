@@ -30,6 +30,7 @@ from .bounds import (
     e2_numeric,
     eta,
     gauss_bound,
+    noise_amplification,
     rect_bound,
     robustness_bound,
     sinh_bound,
@@ -72,6 +73,7 @@ __all__ = [
     "e2_numeric",
     "eta",
     "gauss_bound",
+    "noise_amplification",
     "rect_bound",
     "robustness_bound",
     "sinh_bound",

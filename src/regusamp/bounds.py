@@ -12,7 +12,8 @@ supported windows.  On top of these, each window family has a proven closed
 form: the rectangular bound decays like 1/sqrt(m) while the Gaussian,
 B-spline and sinh bounds decay exponentially in m.  Perturbations bounded by
 eps propagate to at most eps*(2 + L*phihat(0)) uniformly, with sqrt(m)-growth
-closed forms per window.
+closed forms per window; the exact worst case on a target grid is eps times
+the maximum of the operator's Lebesgue function (noise_amplification).
 
 Every band integral here is a difference of one window-transform tail
 T(x) = int_x^inf phihat(u) du (kernel.kernel_band_tail).  Because phihat
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import specfun
 from .kernel import KernelEval, ft_psi, kernel_band_tail
+from .reconstruct import kernel_blocks
 from .windows import SamplingConfig, WindowKind, WindowSpec, window_ft_at_zero
 
 
@@ -273,6 +275,27 @@ def robustness_bound(w: WindowSpec, cfg: SamplingConfig, eps: float) -> Robustne
     else:
         special = None
     return RobustnessBound(generic, special)
+
+
+def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
+    """Largest value over the targets ``t`` of the Lebesgue function
+
+        Lambda(t) = sum_l |psi(t - l/L)|
+
+    of the localized operator (1 at grid points, where R echoes the sample).
+    For noise bounded by eps, sup |R(noise)(t)| = eps * Lambda(t), attained
+    by noise = eps * sign(psi), so eps * max Lambda is the exact worst case
+    on ``t`` that seeded noise trials only estimate from below, and every
+    robustness bound must dominate it.  One row sum of |weights| per block
+    of reconstruct.kernel_blocks.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ValueError("need at least one target")
+    worst = 0.0
+    for _, (_, weights, _, _) in kernel_blocks(cfg, w, t):
+        worst = max(worst, float(np.max(np.sum(np.abs(weights), axis=1))))
+    return worst
 
 
 @dataclass(frozen=True)

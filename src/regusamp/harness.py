@@ -10,6 +10,13 @@ the paired tau-sweep/lambda-sweep figures are expressed.  Runs are
 deterministic given the plan seed: every (cell, trial) perturbation stream
 is derived from (seed, cell_index, trial) through a SeedSequence, so results
 do not depend on worker scheduling.
+
+Clean and noisy cells share the block evaluator of ``reconstruct``: a clean
+cell reduces the kernel blocks against the samples (reconstruct_grid), a
+noisy cell draws its trials as a (trials x n) matrix, in blocks capped at
+_NOISE_BLOCK_VALUES values, and reduces every kernel block against all of
+them at once (noise_response_max).  Each cell runs through one picklable
+worker, so ``jobs`` > 1 changes the scheduling only, never a row.
 """
 
 from __future__ import annotations
@@ -18,12 +25,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from .bounds import ConditionViolated, closed_form_bound, robustness_bound
-from .reconstruct import TestFunction, TestFunctionKind, _draw_noise, kernel_matrix, reconstruct_grid, sample
+from .reconstruct import TestFunction, TestFunctionKind, _draw_noise, noise_response_max, reconstruct_grid, sample
 from .windows import SamplingConfig, WindowKind, default_params
 
 
@@ -124,22 +132,34 @@ def _approx_cell(plan: ExperimentPlan, cell) -> ErrorRow:
     return ErrorRow(kind, m, tau, lam, measured, bound, valid)
 
 
+# Noise values held at once by a perturbation cell: its trials are drawn as
+# a (trials x n) matrix in blocks of at most this many values (8 MB).
+_NOISE_BLOCK_VALUES = 1 << 20
+
+
+def _trial_noise(plan: ExperimentPlan, cell_index: int, n: int, trials: range) -> np.ndarray:
+    """The perturbations of ``trials`` as the rows of one matrix; trial r
+    draws from its own stream SeedSequence((seed, cell_index, r))."""
+    out = np.empty((len(trials), n))
+    for row, trial in enumerate(trials):
+        seed = np.random.SeedSequence((plan.seed, cell_index, trial))
+        out[row] = _draw_noise(n, plan.eps, seed)
+    return out
+
+
 def _perturb_cell(plan: ExperimentPlan, cell, cell_index: int) -> ErrorRow:
     kind, tau, lam, m = cell
     cfg = SamplingConfig(plan.N, lam, tau, m)
     w = default_params(kind, cfg)
     lo, hi = -cfg.L - m, cfg.L + m
-    t = _eval_grid(plan.S)
-    idx, weights, ongrid, j = kernel_matrix(cfg, w, t)
-    flat = idx - lo
     n = hi - lo + 1
+    t = _eval_grid(plan.S)
+    per_block = max(1, _NOISE_BLOCK_VALUES // n)
     measured = 0.0
-    for trial in range(plan.trials):
-        seed = np.random.SeedSequence((plan.seed, cell_index, trial))
-        noise = _draw_noise(n, plan.eps, seed)
+    for first in range(0, plan.trials, per_block):
+        noise = _trial_noise(plan, cell_index, n, range(first, min(first + per_block, plan.trials)))
         # R(f~) - R(f) is linear in the perturbation, so reconstruct it alone.
-        diff = np.einsum("ij,ij->i", noise[flat], weights)
-        measured = max(measured, float(np.max(np.abs(diff))))
+        measured = max(measured, noise_response_max(cfg, w, t, lo, noise))
     rb = robustness_bound(w, cfg, plan.eps)
     bound = rb.specialized if rb.specialized is not None else rb.generic
     if measured > bound:
@@ -150,32 +170,23 @@ def _perturb_cell(plan: ExperimentPlan, cell, cell_index: int) -> ErrorRow:
     return ErrorRow(kind, m, tau, lam, measured, bound, True)
 
 
-def _run(plan: ExperimentPlan, worker, jobs: int) -> ErrorReport:
-    cells = plan.cells()
-    if jobs <= 1 or len(cells) <= 1:
-        rows = [worker(i) for i in range(len(cells))]
+def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
+    """Row of cell i: a perturbation run when eps > 0, else a clean one."""
+    cell = plan.cells()[i]
+    if plan.eps > 0:
+        return _perturb_cell(plan, cell, i)
+    return _approx_cell(plan, cell)
+
+
+def _run(plan: ExperimentPlan, jobs: int) -> ErrorReport:
+    worker = partial(_run_cell, plan)
+    count = len(plan.cells())
+    if jobs <= 1 or count <= 1:
+        rows = [worker(i) for i in range(count)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, range(len(cells))))
+            rows = list(pool.map(worker, range(count)))
     return ErrorReport(tuple(rows))
-
-
-class _ApproxWorker:
-    def __init__(self, plan):
-        self.plan = plan
-        self.cells = plan.cells()
-
-    def __call__(self, i):
-        return _approx_cell(self.plan, self.cells[i])
-
-
-class _PerturbWorker:
-    def __init__(self, plan):
-        self.plan = plan
-        self.cells = plan.cells()
-
-    def __call__(self, i):
-        return _perturb_cell(self.plan, self.cells[i], i)
 
 
 def run_approximation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
@@ -188,7 +199,7 @@ def run_approximation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
     """
     if plan.eps != 0.0:
         raise ValueError("approximation runs need eps = 0")
-    return _run(plan, _ApproxWorker(plan), jobs)
+    return _run(plan, jobs)
 
 
 def run_perturbation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
@@ -196,7 +207,7 @@ def run_perturbation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
     trials, paired with the window-specialized robustness bound."""
     if plan.eps <= 0.0:
         raise ValueError("perturbation runs need eps > 0")
-    return _run(plan, _PerturbWorker(plan), jobs)
+    return _run(plan, jobs)
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:

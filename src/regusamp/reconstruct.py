@@ -8,6 +8,13 @@ point: for t in the grid cell (k/L, (k+1)/L) with k = floor(L*t),
 and R interpolates the samples exactly on (1/L)*Z.  Sample sets carry an
 optional bounded perturbation so clean and noisy evaluations share one set
 of function values.
+
+Batched evaluation goes through one block evaluator, kernel_blocks, which
+builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time.
+reconstruct_grid reduces each block against the samples; noise_response_max
+reduces it against a whole matrix of noise trials at once, with one small
+matrix product per run of targets that share a window.  Memory therefore
+stays fixed as the number of targets grows.
 """
 
 from __future__ import annotations
@@ -241,13 +248,19 @@ def classical_truncated(ss: SampleSet, t: float, use_noisy: bool = False) -> flo
     return reconstruct_at(ss, WindowSpec(WindowKind.RECT), t, use_noisy)
 
 
+# Targets per block of the batched evaluators.  One block's index and weight
+# arrays hold 2 * 4096 * 2m values (1.3 MB at m = 10), so their working memory
+# does not grow with the number of targets.
+KERNEL_BLOCK = 4096
+
+
 def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
     """Per-point sample indices and kernel weights for a batch of targets.
 
     Returns (idx, weights, ongrid, j): for row i the reconstruction is
     sum(values[idx[i]] * weights[i]); rows at exact grid points are encoded
-    as a single unit weight on index j[i].  Shared by the grid evaluator and
-    the perturbation trials, which reuse one matrix across noise draws.
+    as a single unit weight on index j[i].  The batched evaluators call it
+    on one block of kernel_blocks at a time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -271,18 +284,79 @@ def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
     return idx, weights, ongrid, j
 
 
+def kernel_blocks(cfg: SamplingConfig, w: WindowSpec, t):
+    """kernel_matrix over consecutive blocks of KERNEL_BLOCK targets.
+
+    Yields (rows, (idx, weights, ongrid, j)), where ``rows`` is the slice of
+    ``t`` the block covers.  Every batched evaluation (reconstruct_grid,
+    noise_response_max, bounds.noise_amplification) reduces the blocks as
+    they come, so no S x 2m array is ever held whole.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("t must be one-dimensional")
+    for start in range(0, t.size, KERNEL_BLOCK):
+        rows = slice(start, start + KERNEL_BLOCK)
+        yield rows, kernel_matrix(cfg, w, t[rows])
+
+
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t, use_noisy: bool = False) -> np.ndarray:
-    """Vectorized reconstruct_at over a 1-D array of targets."""
-    idx, weights, _, _ = kernel_matrix(ss.cfg, w, t)
-    if idx.size:
+    """Vectorized reconstruct_at over a 1-D array of targets.
+
+    Each block of kernel_blocks is reduced into a preallocated output, so
+    the memory beyond that output does not grow with the number of targets.
+    A block whose samples the set does not cover raises IndexOutOfRange.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape)
+    for rows, (idx, weights, _, _) in kernel_blocks(ss.cfg, w, t):
         lo, hi = int(idx.min()), int(idx.max())
         if lo < ss.index_lo or hi > ss.index_hi:
             raise IndexOutOfRange(
                 f"targets require samples for indices [{lo}, {hi}]; sample set "
                 f"covers [{ss.index_lo}, {ss.index_hi}]"
             )
-    vals = ss.take(idx, use_noisy)
-    return np.einsum("ij,ij->i", vals, weights)
+        np.einsum("ij,ij->i", ss.take(idx, use_noisy), weights, out=out[rows])
+    return out
+
+
+def noise_response_max(cfg: SamplingConfig, w: WindowSpec, t, index_lo: int, noise) -> float:
+    """max over targets t and rows r of |R(noise[r])(t)|.
+
+    ``noise`` is a (trials, n) matrix whose row r perturbs the samples
+    l = index_lo .. index_lo + n - 1.  Since R is linear, this is the largest
+    deviation R(f~) - R(f) over all trials at once.  Within a block of
+    kernel_blocks consecutive rows that share a window start k - m + 1 read
+    one slice of every trial's noise, so each run of such rows is a single
+    matrix product weights[run] @ noise[:, s:s+2m].T (sorted targets make
+    the runs long).  An on-grid row becomes a unit weight at column m - 1 of
+    its window, which is exact.  Raises IndexOutOfRange when a target's
+    window is not covered.
+    """
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2:
+        raise ValueError("noise must be a (trials, n) matrix")
+    m2 = 2 * cfg.m
+    n = noise.shape[1]
+    unit = np.zeros(m2)
+    unit[cfg.m - 1] = 1.0
+    worst = 0.0
+    for _, (idx, weights, ongrid, j) in kernel_blocks(cfg, w, t):
+        start = idx[:, 0] - index_lo
+        start[ongrid] = j[ongrid] - cfg.m + 1 - index_lo
+        weights[ongrid] = unit
+        lo, hi = int(start.min()), int(start.max()) + m2 - 1
+        if lo < 0 or hi >= n:
+            raise IndexOutOfRange(
+                f"targets require samples for indices [{lo + index_lo}, {hi + index_lo}]; "
+                f"noise covers [{index_lo}, {index_lo + n - 1}]"
+            )
+        edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
+        for a, b in zip(edges[:-1], edges[1:]):
+            s = start[a]
+            response = weights[a:b] @ noise[:, s:s + m2].T
+            worst = max(worst, float(np.max(np.abs(response))))
+    return worst
 
 
 def save_samples(ss: SampleSet, path) -> None:

@@ -18,7 +18,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy import special as _sp
 
 
@@ -198,6 +197,10 @@ def integrate(f, a, b, q=Quadrature(), points=None):
     NoConvergence when the subdivision budget is exhausted or QUADPACK gives
     up before meeting the tolerances.
     """
+    # Only the quadrature oracles integrate, so scipy.integrate stays off the
+    # import path of the package.
+    from scipy import integrate as sci_integrate
+
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     if a == b:
@@ -206,7 +209,7 @@ def integrate(f, a, b, q=Quadrature(), points=None):
     if points is not None:
         pts = [p for p in points if a < p < b]
         pts = pts or None
-    out = _sci_integrate.quad(
+    out = sci_integrate.quad(
         f, a, b,
         epsabs=q.abs_tol, epsrel=q.rel_tol, limit=q.max_subdivisions,
         points=pts, full_output=1,

@@ -37,6 +37,17 @@ def sample_csv(tmp_path_factory):
     return path, ss
 
 
+def test_import_leaves_quadrature_oracle_unloaded():
+    # scipy.integrate serves only the quadrature oracles and is imported
+    # on their first call, not at start-up of every regusamp process.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    code = "import sys, regusamp.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_selftest_passes():
     proc = run_cli("selftest")
     assert proc.returncode == 0

@@ -1,8 +1,12 @@
 """Experiment harness: plan parsing, determinism, CSV contract, trends."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from regusamp.bounds import e1_numeric, e2_numeric
+import regusamp.harness as harness_mod
+from regusamp.bounds import e1_numeric, e2_numeric, noise_amplification, robustness_bound
 from regusamp.harness import (
     PRESETS,
     BoundViolation,
@@ -17,7 +21,7 @@ from regusamp.harness import (
     run_perturbation,
     run_plan,
 )
-from regusamp.reconstruct import TestFunctionKind
+from regusamp.reconstruct import TestFunctionKind, _draw_noise, kernel_matrix
 from regusamp.windows import SamplingConfig, WindowKind, default_params
 
 SMALL_PLAN = ExperimentPlan(
@@ -81,8 +85,6 @@ def test_measured_below_numeric_constants():
 
 
 def test_approximation_rejects_noisy_plan():
-    import dataclasses
-
     noisy = dataclasses.replace(SMALL_PLAN, eps=1e-3)
     with pytest.raises(ValueError):
         run_approximation(noisy)
@@ -91,8 +93,6 @@ def test_approximation_rejects_noisy_plan():
 
 
 def test_perturbation_bounds_and_determinism(tmp_path):
-    import dataclasses
-
     plan = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=4, S=501)
     rep1 = run_plan(plan)
     rep2 = run_plan(plan)
@@ -106,16 +106,12 @@ def test_perturbation_bounds_and_determinism(tmp_path):
 
 
 def test_perturbation_seed_changes_measurements():
-    import dataclasses
-
     plan = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=2, S=301)
     other = dataclasses.replace(plan, seed=99)
     assert run_plan(plan) != run_plan(other)
 
 
 def test_perturbation_sublinear_growth_in_m():
-    import dataclasses
-
     plan = dataclasses.replace(
         SMALL_PLAN, m_list=(2, 8), windows=(WindowKind.SINH,), eps=1e-3, trials=10, S=2001
     )
@@ -127,11 +123,79 @@ def test_parallel_matches_serial():
     rep1 = run_approximation(SMALL_PLAN, jobs=1)
     rep2 = run_approximation(SMALL_PLAN, jobs=2)
     assert rep1 == rep2
+    noisy = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=5, S=501)
+    rows1 = run_perturbation(noisy, jobs=1).rows
+    rows2 = run_perturbation(noisy, jobs=2).rows
+    assert len(rows1) == len(noisy.cells())
+    for r1, r2 in zip(rows1, rows2):
+        assert r1 == r2
+
+
+NOISY_PLAN = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=7, S=1001)
+
+
+def per_trial_reference(plan, cell_index):
+    """The perturbation maximum of one cell, one trial at a time: a gather
+    and an einsum over the whole kernel matrix per noise draw."""
+    kind, tau, lam, m = plan.cells()[cell_index]
+    cfg = SamplingConfig(plan.N, lam, tau, m)
+    w = default_params(kind, cfg)
+    lo, hi = -cfg.L - m, cfg.L + m
+    idx, weights, _, _ = kernel_matrix(cfg, w, np.linspace(-1.0, 1.0, plan.S))
+    measured = 0.0
+    for trial in range(plan.trials):
+        seed = np.random.SeedSequence((plan.seed, cell_index, trial))
+        noise = _draw_noise(hi - lo + 1, plan.eps, seed)
+        diff = np.einsum("ij,ij->i", noise[idx - lo], weights)
+        measured = max(measured, float(np.max(np.abs(diff))))
+    return measured
+
+
+def test_batched_trials_match_per_trial_loop():
+    rows = run_perturbation(NOISY_PLAN).rows
+    for i, row in enumerate(rows):
+        want = per_trial_reference(NOISY_PLAN, i)
+        assert abs(row.measured - want) <= 4 * np.spacing(want)
+
+
+def test_trial_blocks_do_not_change_the_maximum(monkeypatch):
+    whole = run_perturbation(NOISY_PLAN).rows
+    # Blocks of 3 noise rows (the cells have n = 2L + 2m + 1 <= 269 samples).
+    monkeypatch.setattr(harness_mod, "_NOISE_BLOCK_VALUES", 3 * 269)
+    blocked = run_perturbation(NOISY_PLAN).rows
+    for a, b in zip(whole, blocked):
+        assert abs(a.measured - b.measured) <= 4 * np.spacing(a.measured)
+
+
+def test_first_trial_noise_stream():
+    n = 2 * 128 + 2 * 2 + 1
+    noise = harness_mod._trial_noise(NOISY_PLAN, 0, n, range(0, 3))
+    assert noise.shape == (3, n)
+    first = _draw_noise(n, NOISY_PLAN.eps, np.random.SeedSequence((NOISY_PLAN.seed, 0, 0)))
+    assert np.array_equal(noise[0], first)
+    later = harness_mod._trial_noise(NOISY_PLAN, 0, n, range(2, 3))
+    assert np.array_equal(later[0], noise[2])
+
+
+@pytest.mark.parametrize("preset", ["fig6", "fig9"])
+def test_trial_maximum_below_exact_amplification_below_bounds(preset):
+    # Deterministic invariant of every fourth cell at reduced S: the noise
+    # trials cannot beat the exact worst case eps * max Lambda on the same
+    # targets, and both proven robustness bounds must dominate that.
+    for plan in load_preset(preset, S=2001):
+        t = np.linspace(-1.0, 1.0, plan.S)
+        cells = plan.cells()
+        for i in range(0, len(cells), 4):
+            kind, tau, lam, m = cells[i]
+            cfg = SamplingConfig(plan.N, lam, tau, m)
+            w = default_params(kind, cfg)
+            worst = plan.eps * noise_amplification(w, cfg, t)
+            measured = harness_mod._perturb_cell(plan, cells[i], i).measured
+            rb = robustness_bound(w, cfg, plan.eps)
+            assert measured <= worst <= min(rb.specialized, rb.generic), (cells[i], measured, worst, rb)
 
 
 def test_smaller_tau_and_larger_lambda_improve_gauss():
-    import dataclasses
-
     plan = dataclasses.replace(
         SMALL_PLAN, N=128, m_list=(6,), windows=(WindowKind.GAUSS,),
         tau_list=(1 / 20, 9 / 20), lambda_list=(1.0,), S=4001,
@@ -163,8 +227,6 @@ def test_bound_violation_aborts_run(monkeypatch):
     monkeypatch.setattr(harness_mod, "closed_form_bound", lambda kind, cfg: 1e-300)
     with pytest.raises(BoundViolation, match="approximation error"):
         run_approximation(SMALL_PLAN)
-
-    import dataclasses
 
     from regusamp.bounds import RobustnessBound
 

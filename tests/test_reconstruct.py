@@ -7,14 +7,17 @@ import pytest
 
 from regusamp.kernel import KernelEval, psi
 from regusamp.reconstruct import (
+    KERNEL_BLOCK,
     IndexOutOfRange,
     NonFiniteInput,
     SampleSet,
     TestFunction,
     TestFunctionKind,
     classical_truncated,
+    kernel_blocks,
     kernel_matrix,
     load_samples,
+    noise_response_max,
     perturb,
     reconstruct_at,
     reconstruct_grid,
@@ -241,6 +244,102 @@ def test_kernel_matrix_shapes():
     idx, weights, ongrid, j = kernel_matrix(CFG, default_params(WindowKind.SINH, CFG), np.array([0.3, 1.0]))
     assert idx.shape == weights.shape == (2, 2 * CFG.m)
     assert bool(ongrid[1]) and j[1] == CFG.L
+
+
+def whole_array_grid(ss, w, t):
+    """One kernel_matrix over all targets, reduced with one einsum."""
+    idx, weights, _, _ = kernel_matrix(ss.cfg, w, t)
+    return np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
+
+
+def test_kernel_blocks_tile_the_targets():
+    t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
+    blocks = list(kernel_blocks(CFG, default_params(WindowKind.GAUSS, CFG), t))
+    assert [(rows.start, len(idx)) for rows, (idx, _, _, _) in blocks] == [
+        (0, KERNEL_BLOCK), (KERNEL_BLOCK, KERNEL_BLOCK), (2 * KERNEL_BLOCK, 1)]
+    assert list(kernel_blocks(CFG, default_params(WindowKind.GAUSS, CFG), np.array([]))) == []
+
+
+@pytest.mark.parametrize("kind", [WindowKind.GAUSS, WindowKind.BSPLINE, WindowKind.SINH])
+def test_blocked_grid_bit_equal_to_whole_array(kind):
+    ss = full_sample_set()
+    w = default_params(kind, CFG)
+    t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
+    # On-grid targets on both sides of each block edge.
+    for pos in (KERNEL_BLOCK - 1, KERNEL_BLOCK, 2 * KERNEL_BLOCK - 1, 2 * KERNEL_BLOCK):
+        t[pos] = round(CFG.L * t[pos]) / CFG.L
+    shuffled = np.random.default_rng(5).permutation(t)
+    for targets in (t, shuffled):
+        got = reconstruct_grid(ss, w, targets)
+        assert np.array_equal(got, whole_array_grid(ss, w, targets))
+    edge = t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1]
+    j = np.rint(CFG.L * edge).astype(int)
+    assert np.array_equal(reconstruct_grid(ss, w, t)[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1],
+                          ss.values[j - ss.index_lo])
+
+
+def test_grid_out_of_range_in_last_block_only():
+    ss = sample(F, CFG, -140, 140)
+    w = default_params(WindowKind.GAUSS, CFG)
+    t = np.linspace(-0.5, 0.5, 2 * KERNEL_BLOCK + 1)
+    reconstruct_grid(ss, w, t[:-1])
+    t[-1] = 0.7  # needs indices up to floor(0.7 * 256) + 5 = 184
+    with pytest.raises(IndexOutOfRange, match=r"indices \[175, 184\]"):
+        reconstruct_grid(ss, w, t)
+
+
+def test_noise_response_rejects_uncovered_windows():
+    w = default_params(WindowKind.SINH, CFG)
+    t = np.linspace(-0.5, 0.5, 2 * KERNEL_BLOCK + 1)
+    lo, hi = -128 - CFG.m + 1, 128 + CFG.m  # exactly the windows of t
+    noise = np.random.default_rng(2).uniform(-1.0, 1.0, (3, hi - lo + 1))
+    assert noise_response_max(CFG, w, t, lo, noise) > 0.0
+    # One sample short at either end: a negative or an overlong slice.
+    with pytest.raises(IndexOutOfRange):
+        noise_response_max(CFG, w, t, lo + 1, noise[:, 1:])
+    with pytest.raises(IndexOutOfRange):
+        noise_response_max(CFG, w, t, lo, noise[:, :-1])
+    late = t.copy()
+    late[-1] = 0.7  # only the last block leaves the range
+    with pytest.raises(IndexOutOfRange):
+        noise_response_max(CFG, w, late, lo, noise)
+
+
+def test_noise_response_matches_gathered_sums():
+    # Unsorted targets with on-grid points at a block edge, against an
+    # explicit gather of every trial.
+    w = default_params(WindowKind.BSPLINE, CFG)
+    rng = np.random.default_rng(9)
+    t = rng.uniform(-1.0, 1.0, KERNEL_BLOCK + 7)
+    t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
+    lo, hi = -CFG.L - CFG.m, CFG.L + CFG.m
+    noise = rng.uniform(-1e-3, 1e-3, (4, hi - lo + 1))
+    idx, weights, _, _ = kernel_matrix(CFG, w, t)
+    want = max(float(np.max(np.abs(np.einsum("ij,ij->i", row[idx - lo], weights)))) for row in noise)
+    got = noise_response_max(CFG, w, t, lo, noise)
+    assert abs(got - want) <= 4 * np.spacing(want)
+    # On-grid targets alone echo their own noise sample, exactly.
+    j = np.array([17, -3, 0, CFG.L])
+    assert noise_response_max(CFG, w, j / CFG.L, lo, noise) == np.max(np.abs(noise[:, j - lo]))
+
+
+def test_grid_memory_does_not_grow_with_targets():
+    import tracemalloc
+
+    ss = full_sample_set()
+    w = default_params(WindowKind.GAUSS, CFG)
+    peaks = {}
+    for S in (100_000, 400_000):
+        t = np.linspace(-1.0, 1.0, S)
+        tracemalloc.start()
+        try:
+            out = reconstruct_grid(ss, w, t)
+            peaks[S] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Blocks of a fixed size: only the output array grows (by 2.4 MB here),
+    # where one whole-array kernel matrix would grow by hundreds of MB.
+    assert peaks[400_000] - peaks[100_000] <= out.nbytes + (1 << 18)
 
 
 # ---------------------------------------------------------------------------
