@@ -14,7 +14,6 @@ from .reconstruct import (
     SampleSet,
     TestFunction,
     TestFunctionKind,
-    classical_truncated,
     perturb,
     reconstruct_at,
     reconstruct_grid,
@@ -59,7 +58,6 @@ __all__ = [
     "SampleSet",
     "TestFunction",
     "TestFunctionKind",
-    "classical_truncated",
     "perturb",
     "reconstruct_at",
     "reconstruct_grid",

@@ -9,24 +9,25 @@ and R interpolates the samples exactly on (1/L)*Z.  Sample sets carry an
 optional bounded perturbation so clean and noisy evaluations share one set
 of function values.
 
-Batched evaluation goes through one block evaluator, kernel_blocks, which
+Every evaluation goes through one block evaluator, kernel_blocks, which
 builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time.
-reconstruct_grid reduces each block against the samples; noise_response_max
-reduces it against a whole matrix of noise trials at once, with one small
-matrix product per run of targets that share a window.  Memory therefore
-stays fixed as the number of targets grows.
+reconstruct_grid reduces each block against the samples, and reconstruct_at
+is its one-point call, so a point gets the same value alone or in a grid.
+noise_response_max reduces each block against a whole matrix of noise
+trials at once, with one small matrix product per run of targets that share
+a window.  Memory therefore stays fixed as the number of targets grows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .kernel import KernelEval, psi, sinc
-from .windows import SamplingConfig, WindowKind, WindowSpec
+from .windows import SamplingConfig, WindowSpec
 
 
 class IndexOutOfRange(IndexError):
@@ -106,8 +107,7 @@ class SampleSet:
 
     ``noise`` stores bounded perturbations separately from the clean values,
     so both variants are evaluable from one set.  Arrays are frozen after
-    construction; ``reads`` counts sample-value accesses (a diagnostic for
-    the 2m-locality contract, not synchronized across threads).
+    construction.
     """
 
     cfg: SamplingConfig
@@ -116,7 +116,6 @@ class SampleSet:
     values: np.ndarray
     noise: np.ndarray | None = None
     noise_eps: float = 0.0
-    reads: int = field(default=0, compare=False)
 
     def __post_init__(self):
         n = self.index_hi - self.index_lo + 1
@@ -144,14 +143,13 @@ class SampleSet:
         return self.index_hi - self.index_lo + 1
 
     def take(self, indices, noisy: bool = False) -> np.ndarray:
-        """Sample values at the given absolute indices (counts reads)."""
+        """Sample values at the given absolute indices."""
         idx = np.asarray(indices)
         if idx.size and (idx.min() < self.index_lo or idx.max() > self.index_hi):
             raise IndexOutOfRange(
                 f"indices [{idx.min()}, {idx.max()}] outside sample range "
                 f"[{self.index_lo}, {self.index_hi}]"
             )
-        self.reads += idx.size
         out = self.values[idx - self.index_lo]
         if noisy:
             if self.noise is None:
@@ -186,66 +184,13 @@ def perturb(ss: SampleSet, eps: float, seed: int) -> SampleSet:
     return SampleSet(ss.cfg, ss.index_lo, ss.index_hi, ss.values, noise, eps)
 
 
-def _window_indices(cfg: SamplingConfig, t: float) -> tuple[int, int]:
-    """Absolute index range {k-m+1, ..., k+m} with k = floor(L*t)."""
-    k = math.floor(cfg.L * t)
-    return k - cfg.m + 1, k + cfg.m
-
-
-def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float, use_noisy: bool = False,
-                   kahan: bool = False) -> float:
+def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float, use_noisy: bool = False) -> float:
     """Localized reconstruction at a single point from exactly 2m samples.
 
-    On-grid points t = j/L short-circuit to the sample value, which realizes
-    the interpolation property exactly and avoids the ambiguity of assigning
-    a grid point to one of its two adjacent cells.  Off-grid, the 2m terms
-    are accumulated from the window edges inward (smallest kernel magnitude
-    first); ``kahan`` adds compensated summation on top.
+    A one-point call of reconstruct_grid.  On-grid points t = j/L return the
+    sample value exactly, through kernel_matrix's unit weight.
     """
-    if not math.isfinite(t):
-        raise NonFiniteInput(f"target must be finite, got {t!r}")
-    cfg = ss.cfg
-    Lt = cfg.L * t
-    j = round(Lt)
-    if Lt == j:
-        if not ss.index_lo <= j <= ss.index_hi:
-            raise IndexOutOfRange(
-                f"t = {t!r} needs sample index {j}; sample set covers "
-                f"[{ss.index_lo}, {ss.index_hi}]"
-            )
-        return float(ss.take(np.array([j]), use_noisy)[0])
-    lo, hi = _window_indices(cfg, t)
-    if lo < ss.index_lo or hi > ss.index_hi:
-        raise IndexOutOfRange(
-            f"t = {t!r} requires samples for indices [{lo}, {hi}]; sample set "
-            f"covers [{ss.index_lo}, {ss.index_hi}]"
-        )
-    ell = np.arange(lo, hi + 1)
-    vals = ss.take(ell, use_noisy)
-    terms = vals * psi(KernelEval(w, cfg), t - ell / cfg.L)
-    order = np.argsort(-np.abs(t - ell / cfg.L))  # edges first
-    terms = terms[order]
-    if not kahan:
-        total = 0.0
-        for v in terms:
-            total += v
-        return float(total)
-    total = 0.0
-    carry = 0.0
-    for v in terms:
-        y = v - carry
-        tmp = total + y
-        carry = (tmp - total) - y
-        total = tmp
-    return float(total)
-
-
-def classical_truncated(ss: SampleSet, t: float, use_noisy: bool = False) -> float:
-    """Truncated classical series: reconstruction with the rect window.
-
-    The baseline formula; its uniform error decays only like 1/sqrt(m).
-    """
-    return reconstruct_at(ss, WindowSpec(WindowKind.RECT), t, use_noisy)
+    return float(reconstruct_grid(ss, w, np.array([t], dtype=float), use_noisy)[0])
 
 
 # Targets per block of the batched evaluators.  One block's index and weight
@@ -301,23 +246,32 @@ def kernel_blocks(cfg: SamplingConfig, w: WindowSpec, t):
 
 
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t, use_noisy: bool = False) -> np.ndarray:
-    """Vectorized reconstruct_at over a 1-D array of targets.
+    """The localized reconstruction at every target of a 1-D array.
 
+    This is the one evaluation path; reconstruct_at is its one-point call.
     Each block of kernel_blocks is reduced into a preallocated output, so
     the memory beyond that output does not grow with the number of targets.
-    A block whose samples the set does not cover raises IndexOutOfRange.
+    Off-grid sums run in index order.  A block whose samples the set does
+    not cover raises IndexOutOfRange naming its first uncovered target.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
-    for rows, (idx, weights, _, _) in kernel_blocks(ss.cfg, w, t):
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < ss.index_lo or hi > ss.index_hi:
-            raise IndexOutOfRange(
-                f"targets require samples for indices [{lo}, {hi}]; sample set "
-                f"covers [{ss.index_lo}, {ss.index_hi}]"
-            )
+    for rows, (idx, weights, ongrid, _) in kernel_blocks(ss.cfg, w, t):
+        if idx.min() < ss.index_lo or idx.max() > ss.index_hi:
+            raise _uncovered(ss, t[rows], idx, ongrid)
         np.einsum("ij,ij->i", ss.take(idx, use_noisy), weights, out=out[rows])
     return out
+
+
+def _uncovered(ss: SampleSet, t, idx, ongrid) -> IndexOutOfRange:
+    """The error for the first target of a block whose window ``ss`` lacks."""
+    i = int(np.argmax((idx[:, 0] < ss.index_lo) | (idx[:, -1] > ss.index_hi)))
+    covers = f"sample set covers [{ss.index_lo}, {ss.index_hi}]"
+    if ongrid[i]:
+        return IndexOutOfRange(f"t = {float(t[i])!r} needs sample index {int(idx[i, 0])}; {covers}")
+    return IndexOutOfRange(
+        f"t = {float(t[i])!r} requires samples for indices [{int(idx[i, 0])}, {int(idx[i, -1])}]; {covers}"
+    )
 
 
 def noise_response_max(cfg: SamplingConfig, w: WindowSpec, t, index_lo: int, noise) -> float:

@@ -1,5 +1,11 @@
-"""Command-line interface: exit codes, CSV output, determinism."""
+"""Command-line interface: exit codes, CSV output, determinism.
 
+Most calls run ``cli.main`` in this process (``run_cli``); a few start
+``python -m regusamp.cli`` (``run_process``) to cover the module entry point.
+"""
+
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -8,24 +14,40 @@ import numpy as np
 import pytest
 
 import regusamp
-from regusamp.reconstruct import TestFunction, TestFunctionKind, sample, save_samples
-from regusamp.windows import SamplingConfig
+from regusamp import cli
+from regusamp.reconstruct import TestFunction, TestFunctionKind, reconstruct_grid, sample, save_samples
+from regusamp.windows import SamplingConfig, WindowKind, default_params
 
 CFG = SamplingConfig(32, 1.0, 1 / 3, 4)
 # The CLI subprocess imports the package the tests imported, installed or not.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(regusamp.__file__))
 
 
-def run_cli(*args, env_extra=None):
+def run_process(*args):
+    """``python -m regusamp.cli *args`` in a fresh interpreter."""
     env = dict(os.environ)
     env.pop("REGUSAMP_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "regusamp.cli", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def run_cli(*args, env_extra=None):
+    """``regusamp *args`` through ``cli.main`` in this process, returned like
+    a finished subprocess: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REGUSAMP_SEED", raising=False)
+        for name, value in (env_extra or {}).items():
+            mp.setenv(name, value)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +71,7 @@ def test_import_leaves_quadrature_oracle_unloaded():
 
 
 def test_selftest_passes():
-    proc = run_cli("selftest")
+    proc = run_process("selftest")
     assert proc.returncode == 0
     assert "FAIL" not in proc.stderr
     assert proc.stdout.strip().endswith(",0")
@@ -118,7 +140,7 @@ def test_reconstruct_default_sigma_on_stderr(sample_csv):
 
 def test_reconstruct_missing_samples_exit_3(sample_csv):
     path, _ = sample_csv
-    proc = run_cli(
+    proc = run_process(
         "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
         "--tau", "1/3", "--m", "4", "--window", "rect", "--at", "30.0",
     )
@@ -137,6 +159,39 @@ def test_reconstruct_grid_rows(sample_csv):
     assert len(lines) == 8
     ts = [float(line.split(",")[0]) for line in lines[1:]]
     assert ts == pytest.approx(list(np.linspace(-0.5, 0.5, 7)))
+
+
+def test_reconstruct_grid_output_is_reconstruct_grid(sample_csv):
+    path, ss = sample_csv
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", "sinh", "--grid=-0.5,0.5,129",
+    )
+    assert proc.returncode == 0, proc.stderr
+    t = np.linspace(-0.5, 0.5, 129)  # spacing 1/(2L): every other target on the grid
+    want = reconstruct_grid(ss, default_params(WindowKind.SINH, CFG), t)
+    assert proc.stdout == "t,value\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, want))
+    on = t[::2]
+    j = np.rint(CFG.L * on).astype(int)
+    assert np.array_equal(CFG.L * on, j)
+    rows = proc.stdout.splitlines()[1::2]
+    assert np.array_equal([float(row.split(",")[1]) for row in rows], ss.values[j - ss.index_lo])
+
+
+@pytest.mark.parametrize("target,message", [
+    ("--grid=0.0078125,1.5078125,4", "t = 1.5078125 requires samples for indices [93, 100]; sample set covers [-68, 68]"),
+    ("--at=2.0", "t = 2.0 needs sample index 128; sample set covers [-68, 68]"),
+])
+def test_reconstruct_exit_3_writes_no_rows(sample_csv, target, message):
+    # The grid's first three targets are covered; none of their rows may appear.
+    path, _ = sample_csv
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", "rect", target,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 def test_reconstruct_grid_negative_start_as_separate_argument(sample_csv):
@@ -251,3 +306,31 @@ def test_experiment_unwritable_out_exit_5(tmp_path):
     plan.write_text(PLAN_TEXT)
     proc = run_cli("experiment", "--plan", str(plan), "--out", str(tmp_path / "no/dir/o.csv"))
     assert proc.returncode == 5
+
+
+def test_in_process_calls_repeat_fresh_processes(sample_csv, tmp_path):
+    # The parser is built once per process; a call must not see the calls
+    # before it, the usage error that argparse leaves half-parsed included.
+    assert cli._build_parser() is cli._build_parser()
+    path, _ = sample_csv
+    plan = tmp_path / "small.plan"
+    plan.write_text(PLAN_TEXT)
+    out = tmp_path / "o.csv"
+    flags = ("reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+             "--tau", "1/3", "--m", "4", "--window", "gauss")
+    calls = [
+        (*flags, "--at", "0.01", "--grid=0,1,3"),  # --at and --grid exclude each other
+        (*flags, "--at", "-1e-3"),
+        (*flags, "--grid", "-0.5,0.5,5"),
+        ("experiment", "--plan", str(plan), "--out", str(out), "--jobs", "1"),
+    ]
+
+    def outcome(run, argv):
+        proc = run(*argv)
+        written = out.read_bytes() if argv[0] == "experiment" else None
+        return proc.returncode, proc.stdout, proc.stderr, written
+
+    in_process = [outcome(run_cli, argv) for argv in calls]
+    fresh = [outcome(run_process, argv) for argv in calls]
+    assert [result[0] for result in in_process] == [2, 0, 0, 0]
+    assert in_process == fresh

@@ -13,7 +13,6 @@ from regusamp.reconstruct import (
     SampleSet,
     TestFunction,
     TestFunctionKind,
-    classical_truncated,
     kernel_blocks,
     kernel_matrix,
     load_samples,
@@ -145,15 +144,24 @@ def test_zero_samples_zero_everywhere():
         assert reconstruct_at(zero, w, 0.377) == 0.0
 
 
-def test_locality_reads_exactly_2m_samples():
+def test_locality_reads_exactly_2m_samples(monkeypatch):
     ss = full_sample_set()
     w = default_params(WindowKind.GAUSS, CFG)
-    before = ss.reads
-    reconstruct_at(ss, w, 0.1234)
-    assert ss.reads - before == 2 * CFG.m
-    before = ss.reads
-    reconstruct_at(ss, w, 5 / CFG.L)  # on-grid short-circuit reads one value
-    assert ss.reads - before == 1
+    taken = []
+    take = SampleSet.take
+
+    def recording_take(self, indices, noisy=False):
+        taken.extend(np.asarray(indices).ravel().tolist())
+        return take(self, indices, noisy)
+
+    monkeypatch.setattr(SampleSet, "take", recording_take)
+    t = 0.1234
+    k = math.floor(CFG.L * t)
+    reconstruct_at(ss, w, t)
+    assert set(taken) == set(range(k - CFG.m + 1, k + CFG.m + 1))
+    taken.clear()
+    reconstruct_at(ss, w, 5 / CFG.L)  # on-grid: only the sample itself
+    assert set(taken) == {5}
 
 
 def test_linearity():
@@ -171,22 +179,13 @@ def test_linearity():
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
-def test_kahan_flag_agrees():
-    ss = full_sample_set()
-    w = default_params(WindowKind.GAUSS, CFG)
-    for t in (0.1234, -0.777):
-        assert reconstruct_at(ss, w, t, kahan=True) == pytest.approx(
-            reconstruct_at(ss, w, t), rel=1e-15
-        )
-
-
 def test_index_out_of_range_message():
     ss = sample(F, CFG, -10, 10)
     w = default_params(WindowKind.GAUSS, CFG)
     with pytest.raises(IndexOutOfRange, match=r"requires samples for indices \[124, 133\]"):
         reconstruct_at(ss, w, 0.5001)  # k = floor(128.02) = 128
     with pytest.raises(IndexOutOfRange, match=r"needs sample index 128"):
-        reconstruct_at(ss, w, 0.5)  # exactly on-grid, short-circuit path
+        reconstruct_at(ss, w, 0.5)  # exactly on-grid
 
 
 def test_noise_propagation_bound():
@@ -209,16 +208,12 @@ def test_noise_propagation_bound():
 
 
 def test_grid_matches_pointwise():
-    # The grid path sums in index order while the scalar path sums from the
-    # window edges inward, so off-grid values may differ in the last bits.
     ss = full_sample_set()
     w = default_params(WindowKind.BSPLINE, CFG)
     t = np.array([-1.0, -0.57, 3 / CFG.L, 0.0, 0.123456, 1.0])
     grid_vals = reconstruct_grid(ss, w, t)
     point_vals = np.array([reconstruct_at(ss, w, float(x)) for x in t])
-    np.testing.assert_allclose(grid_vals, point_vals, rtol=1e-13, atol=1e-14)
-    ongrid = CFG.L * t == np.rint(CFG.L * t)
-    assert np.array_equal(grid_vals[ongrid], point_vals[ongrid])
+    assert np.array_equal(grid_vals, point_vals)
 
 
 def test_grid_out_of_range():
@@ -288,6 +283,17 @@ def test_grid_out_of_range_in_last_block_only():
         reconstruct_grid(ss, w, t)
 
 
+@pytest.mark.parametrize("t,message", [
+    ([0.0, 0.9, -0.8, 0.95], r"t = 0\.9 requires samples for indices \[226, 235\]; sample set covers \[-140, 140\]"),
+    ([0.0, 0.75, 0.9], r"t = 0\.75 needs sample index 192; sample set covers \[-140, 140\]"),
+])
+def test_grid_out_of_range_names_first_uncovered_target(t, message):
+    ss = sample(F, CFG, -140, 140)
+    w = default_params(WindowKind.GAUSS, CFG)
+    with pytest.raises(IndexOutOfRange, match=message):
+        reconstruct_grid(ss, w, np.array(t))
+
+
 def test_noise_response_rejects_uncovered_windows():
     w = default_params(WindowKind.SINH, CFG)
     t = np.linspace(-0.5, 0.5, 2 * KERNEL_BLOCK + 1)
@@ -344,17 +350,6 @@ def test_grid_memory_does_not_grow_with_targets():
 
 # ---------------------------------------------------------------------------
 # Classical truncated baseline
-
-
-def test_classical_is_rect_window():
-    ss = full_sample_set()
-    for t in (0.123, -0.5, 7 / CFG.L):
-        assert classical_truncated(ss, t) == reconstruct_at(ss, WindowSpec(WindowKind.RECT), t)
-
-
-def test_classical_on_grid_echo():
-    ss = full_sample_set()
-    assert classical_truncated(ss, -17 / CFG.L) == ss.values[-17 - ss.index_lo]
 
 
 def test_classical_slow_error_decay_trend():
