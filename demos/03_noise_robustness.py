@@ -50,13 +50,14 @@ for kind in plan.windows:
     print(f"  {kind.value:8s} measured(m=10)/measured(m=2) = {vals[-1] / vals[0]:.2f} "
           f"(sqrt(10/2) = {np.sqrt(5):.2f})")
 
-# A single perturbed reconstruction, end to end through the public API.
+# A single perturbed reconstruction, end to end through the public API:
+# perturb returns the noisy samples f(l/L) + eps_l as a plain sample set.
 cfg = SamplingConfig(128, 1.0, 1 / 3, 6)
 f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
 clean = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
 noisy = perturb(clean, EPS, seed=42)
 w = default_params(WindowKind.SINH, cfg)
 t = np.linspace(-1, 1, 5001)
-dev = np.max(np.abs(reconstruct_grid(noisy, w, t, use_noisy=True) - reconstruct_grid(clean, w, t)))
+dev = np.max(np.abs(reconstruct_grid(noisy, w, t) - reconstruct_grid(clean, w, t)))
 cap = robustness_bound(w, cfg, EPS).generic
 print(f"\nsingle sinh run at m=6: deviation {dev:.3e} <= generic bound {cap:.3e}")

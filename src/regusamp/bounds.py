@@ -60,22 +60,26 @@ def eta(w: WindowSpec, cfg: SamplingConfig, v):
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Uniform search points of e1_numeric on [0, delta]; image bands of
+# e1_alias_aware and the points on each band.
+_E1_GRID_POINTS = 4097
+_ALIAS_BANDS = 3
+_ALIAS_GRID_POINTS = 129
 
-def e1_numeric(w: WindowSpec, cfg: SamplingConfig, grid_points: int = 4097) -> float:
+
+def e1_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:
     """E1 = sqrt(2*delta) * max |eta| over [-delta, delta], numerically.
 
     Evenness halves the search to [0, delta]; a uniform grid locates the
     maximum (typically at v = delta) and three golden-section iterations
     around the grid argmax guard against an interior peak.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    grid = np.linspace(0.0, cfg.delta, grid_points)
+    grid = np.linspace(0.0, cfg.delta, _E1_GRID_POINTS)
     vals = np.abs(eta(w, cfg, grid))
     i = int(np.argmax(vals))
     best = float(vals[i])
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
+    b = grid[min(i + 1, _E1_GRID_POINTS - 1)]
     for _ in range(3):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
@@ -89,8 +93,7 @@ def e1_numeric(w: WindowSpec, cfg: SamplingConfig, grid_points: int = 4097) -> f
     return math.sqrt(2.0 * cfg.delta) * best
 
 
-def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig, bands: int = 3,
-                   grid_points: int = 129) -> float:
+def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig) -> float:
     """Sharp regularization constant including the spectral image bands.
 
     The sampled spectrum is L-periodic, so the reconstruction error picks up
@@ -101,9 +104,9 @@ def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig, bands: int = 3,
     This variant adds sqrt(2*delta) * sum_j max over band j of the band
     integral L*|psihat|, which provably dominates the measured error.
     """
-    L, delta = cfg.L, cfg.delta
-    v = np.concatenate([np.linspace(j * L - delta, j * L + delta, grid_points) for j in range(1, bands + 1)])
-    peaks = np.max(np.abs(L * ft_psi(KernelEval(w, cfg), v)).reshape(bands, grid_points), axis=1)
+    L, delta, n = cfg.L, cfg.delta, _ALIAS_GRID_POINTS
+    v = np.concatenate([np.linspace(j * L - delta, j * L + delta, n) for j in range(1, _ALIAS_BANDS + 1)])
+    peaks = np.max(np.abs(L * ft_psi(KernelEval(w, cfg), v)).reshape(_ALIAS_BANDS, n), axis=1)
     extra = 2.0 * float(np.sum(peaks))  # bands at +-j contribute equally (even transform)
     return e1_numeric(w, cfg) + math.sqrt(2.0 * delta) * extra
 

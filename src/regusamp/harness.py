@@ -178,7 +178,10 @@ def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
     return _approx_cell(plan, cell)
 
 
-def _run(plan: ExperimentPlan, jobs: int) -> ErrorReport:
+def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
+    """Rows of every cell in plan order: perturbation runs when eps > 0,
+    clean approximation runs otherwise.  ``jobs`` > 1 runs the cells in
+    worker processes, which changes no row."""
     worker = partial(_run_cell, plan)
     count = len(plan.cells())
     if jobs <= 1 or count <= 1:
@@ -199,7 +202,7 @@ def run_approximation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
     """
     if plan.eps != 0.0:
         raise ValueError("approximation runs need eps = 0")
-    return _run(plan, jobs)
+    return run_plan(plan, jobs)
 
 
 def run_perturbation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
@@ -207,15 +210,7 @@ def run_perturbation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
     trials, paired with the window-specialized robustness bound."""
     if plan.eps <= 0.0:
         raise ValueError("perturbation runs need eps > 0")
-    return _run(plan, jobs)
-
-
-def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
-    """Dispatch on eps: clean approximation run when 0, perturbation run
-    otherwise."""
-    if plan.eps > 0:
-        return run_perturbation(plan, jobs)
-    return run_approximation(plan, jobs)
+    return run_plan(plan, jobs)
 
 
 def _fmt(x: float) -> str:
@@ -236,15 +231,33 @@ def emit_csv(report: ErrorReport, path) -> None:
             )
 
 
-def _parse_scalar(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+def parse_fraction(text: str) -> float:
+    """A decimal or a fraction such as 1/3, as a float."""
+    return float(Fraction(text)) if "/" in text else float(text)
 
 
 def _parse_list(text: str):
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _fractions(text: str):
+    return [parse_fraction(x) for x in _parse_list(text)]
+
+
+# Plan key -> converter from its text.  ExperimentPlan itself turns the
+# lists into tuples and the names into TestFunctionKind and WindowKind.
+_PLAN_KEYS = {
+    "test_fn": str,
+    "N": int,
+    "m_list": lambda text: [int(x) for x in _parse_list(text)],
+    "tau_list": _fractions,
+    "lambda_list": _fractions,
+    "windows": _parse_list,
+    "S": int,
+    "trials": int,
+    "eps": parse_fraction,
+    "seed": int,
+}
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -258,28 +271,9 @@ def parse_plan(text: str) -> ExperimentPlan:
         if "=" not in line:
             raise ValueError(f"bad plan line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key == "test_fn":
-            fields["test_fn"] = TestFunctionKind(val)
-        elif key == "N":
-            fields["N"] = int(val)
-        elif key == "m_list":
-            fields["m_list"] = tuple(int(x) for x in _parse_list(val))
-        elif key == "tau_list":
-            fields["tau_list"] = tuple(_parse_scalar(x) for x in _parse_list(val))
-        elif key == "lambda_list":
-            fields["lambda_list"] = tuple(_parse_scalar(x) for x in _parse_list(val))
-        elif key == "windows":
-            fields["windows"] = tuple(WindowKind(x) for x in _parse_list(val))
-        elif key == "S":
-            fields["S"] = int(val)
-        elif key == "trials":
-            fields["trials"] = int(val)
-        elif key == "eps":
-            fields["eps"] = _parse_scalar(val)
-        elif key == "seed":
-            fields["seed"] = int(val)
-        else:
+        if key not in _PLAN_KEYS:
             raise ValueError(f"unknown plan key {key!r}")
+        fields[key] = _PLAN_KEYS[key](val)
     missing = {"test_fn", "N", "m_list", "tau_list", "lambda_list", "windows"} - set(fields)
     if missing:
         raise ValueError(f"plan is missing keys: {sorted(missing)}")

@@ -5,9 +5,9 @@ point: for t in the grid cell (k/L, (k+1)/L) with k = floor(L*t),
 
     (R f)(t) = sum_{l=k-m+1}^{k+m} f(l/L) * psi(t - l/L),
 
-and R interpolates the samples exactly on (1/L)*Z.  Sample sets carry an
-optional bounded perturbation so clean and noisy evaluations share one set
-of function values.
+and R interpolates the samples exactly on (1/L)*Z.  A perturbed signal is
+plain sample data: perturb returns the samples f(l/L) + eps_l, which every
+evaluator reads like any other sample set.
 
 Every evaluation goes through one block evaluator, kernel_blocks, which
 builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time.
@@ -105,17 +105,13 @@ class TestFunction:
 class SampleSet:
     """Equispaced samples f(l/L) for l = index_lo..index_hi.
 
-    ``noise`` stores bounded perturbations separately from the clean values,
-    so both variants are evaluable from one set.  Arrays are frozen after
-    construction.
+    The values array is frozen after construction.
     """
 
     cfg: SamplingConfig
     index_lo: int
     index_hi: int
     values: np.ndarray
-    noise: np.ndarray | None = None
-    noise_eps: float = 0.0
 
     def __post_init__(self):
         n = self.index_hi - self.index_lo + 1
@@ -127,22 +123,11 @@ class SampleSet:
             )
         check_finite("sample values", self.values)
         self.values.flags.writeable = False
-        if self.noise is not None:
-            self.noise = np.asarray(self.noise, dtype=float)
-            if self.noise.shape != (n,):
-                raise ValueError("noise must align with the sample range")
-            if self.noise_eps <= 0:
-                raise ValueError("noise present but noise_eps not positive")
-            if np.max(np.abs(self.noise)) > self.noise_eps:
-                raise ValueError("stored perturbations exceed the declared bound")
-            self.noise.flags.writeable = False
-        elif self.noise_eps != 0.0:
-            raise ValueError("noise_eps set without stored perturbations")
 
     def __len__(self):
         return self.index_hi - self.index_lo + 1
 
-    def take(self, indices, noisy: bool = False) -> np.ndarray:
+    def take(self, indices) -> np.ndarray:
         """Sample values at the given absolute indices."""
         idx = np.asarray(indices)
         if idx.size and (idx.min() < self.index_lo or idx.max() > self.index_hi):
@@ -150,12 +135,7 @@ class SampleSet:
                 f"indices [{idx.min()}, {idx.max()}] outside sample range "
                 f"[{self.index_lo}, {self.index_hi}]"
             )
-        out = self.values[idx - self.index_lo]
-        if noisy:
-            if self.noise is None:
-                raise ValueError("sample set carries no perturbations")
-            out = out + self.noise[idx - self.index_lo]
-        return out
+        return self.values[idx - self.index_lo]
 
 
 def sample(f: TestFunction, cfg: SamplingConfig, lo: int, hi: int) -> SampleSet:
@@ -177,20 +157,20 @@ def _draw_noise(n: int, eps: float, seed) -> np.ndarray:
 
 
 def perturb(ss: SampleSet, eps: float, seed: int) -> SampleSet:
-    """New SampleSet sharing the clean values, with seeded uniform noise."""
+    """The perturbed samples f(l/L) + eps_l, with seeded uniform eps_l in
+    (-eps, eps) drawn by _draw_noise(len(ss), eps, seed)."""
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps!r}")
-    noise = _draw_noise(len(ss), eps, seed)
-    return SampleSet(ss.cfg, ss.index_lo, ss.index_hi, ss.values, noise, eps)
+    return SampleSet(ss.cfg, ss.index_lo, ss.index_hi, ss.values + _draw_noise(len(ss), eps, seed))
 
 
-def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float, use_noisy: bool = False) -> float:
+def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float) -> float:
     """Localized reconstruction at a single point from exactly 2m samples.
 
     A one-point call of reconstruct_grid.  On-grid points t = j/L return the
     sample value exactly, through kernel_matrix's unit weight.
     """
-    return float(reconstruct_grid(ss, w, np.array([t], dtype=float), use_noisy)[0])
+    return float(reconstruct_grid(ss, w, np.array([t], dtype=float))[0])
 
 
 # Targets per block of the batched evaluators.  One block's index and weight
@@ -245,7 +225,7 @@ def kernel_blocks(cfg: SamplingConfig, w: WindowSpec, t):
         yield rows, kernel_matrix(cfg, w, t[rows])
 
 
-def reconstruct_grid(ss: SampleSet, w: WindowSpec, t, use_noisy: bool = False) -> np.ndarray:
+def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """The localized reconstruction at every target of a 1-D array.
 
     This is the one evaluation path; reconstruct_at is its one-point call.
@@ -259,7 +239,7 @@ def reconstruct_grid(ss: SampleSet, w: WindowSpec, t, use_noisy: bool = False) -
     for rows, (idx, weights, ongrid, _) in kernel_blocks(ss.cfg, w, t):
         if idx.min() < ss.index_lo or idx.max() > ss.index_hi:
             raise _uncovered(ss, t[rows], idx, ongrid)
-        np.einsum("ij,ij->i", ss.take(idx, use_noisy), weights, out=out[rows])
+        np.einsum("ij,ij->i", ss.take(idx), weights, out=out[rows])
     return out
 
 

@@ -1,13 +1,13 @@
 """Special functions and quadrature backing the window/kernel/bound layers.
 
 Everything here is a pure function of its arguments; all evaluators accept
-scalars or numpy arrays and broadcast elementwise.  The error function and
-Bessel functions are delegated to scipy.special (Cephes / AMOS), which meets
-the accuracy targets of this package (erf absolute error <= 1e-15, J1/I1
-relative error <= 1e-12 away from their zeros); odd symmetry is enforced by
-construction.  The centered cardinal B-spline (piecewise Horner on exact
-piece coefficients), its exact center values and the Eulerian numbers are
-implemented here directly.
+scalars or numpy arrays and broadcast elementwise.  The complementary error
+function and the Bessel functions are delegated to scipy.special (Cephes /
+AMOS), which meets the accuracy targets of this package (erfc absolute error
+<= 1e-15, J1/I1 relative error <= 1e-12 away from their zeros); the odd
+symmetry of J1 is enforced by construction.  The centered cardinal B-spline
+(piecewise Horner on exact piece coefficients), its exact center values and
+the Eulerian numbers are implemented here directly.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from math import comb, factorial
 
 import numpy as np
 from scipy import special as _sp
-
-
-class OverflowDomain(ValueError):
-    """Argument outside the overflow-safe domain of a special function."""
 
 
 class InvalidOrder(ValueError):
@@ -37,22 +33,6 @@ class NoConvergence(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
 
 
-# I1 overflows double precision shortly above exp(713); stay clear of it.
-_I1_MAX_ARG = 700.0
-
-
-def erf(x):
-    """Error function (2/sqrt(pi)) * int_0^x exp(-t^2) dt.
-
-    Odd symmetry erf(-x) = -erf(x) holds exactly: the evaluation only ever
-    sees |x| and the sign is copied back.
-    """
-    x = np.asarray(x, dtype=float)
-    out = _sp.erf(np.abs(x))
-    out = np.where(x < 0, -out, out)
-    return out if out.ndim else float(out)
-
-
 def erfc(x):
     """Complementary error function 1 - erf(x)."""
     x = np.asarray(x, dtype=float)
@@ -65,19 +45,6 @@ def bessel_j1(x):
     x = np.asarray(x, dtype=float)
     out = _sp.j1(np.abs(x))
     out = np.where(x < 0, -out, out)
-    return out if out.ndim else float(out)
-
-
-def bessel_i1(x):
-    """Modified Bessel function of the first kind I1(x).
-
-    Raises OverflowDomain for |x| > 700, where the result would approach
-    the double-precision overflow threshold.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > _I1_MAX_ARG):
-        raise OverflowDomain(f"bessel_i1 requires |x| <= {_I1_MAX_ARG:g}")
-    out = _sp.i1(x)
     return out if out.ndim else float(out)
 
 

@@ -86,6 +86,15 @@ class SamplingConfig:
         return self.tau * self.N
 
 
+# The one shape parameter of each window kind (None: the rect window has none).
+SHAPE_PARAM = {
+    WindowKind.RECT: None,
+    WindowKind.GAUSS: "sigma",
+    WindowKind.BSPLINE: "s",
+    WindowKind.SINH: "beta",
+}
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """A window family plus its single shape parameter.
@@ -111,12 +120,7 @@ class WindowSpec:
             for name, val in (("sigma", self.sigma), ("s", self.s), ("beta", self.beta))
             if val is not None
         }
-        required = {
-            WindowKind.RECT: None,
-            WindowKind.GAUSS: "sigma",
-            WindowKind.BSPLINE: "s",
-            WindowKind.SINH: "beta",
-        }[kind]
+        required = SHAPE_PARAM[kind]
         if required is None:
             if present:
                 raise InvalidConfig(f"rect window takes no shape parameter, got {present}")

@@ -138,6 +138,37 @@ def test_reconstruct_default_sigma_on_stderr(sample_csv):
     assert "default sigma" in proc.stderr
 
 
+DEFAULT_SHAPE_STDERR = {
+    "rect": "",
+    "gauss": "using default sigma = 0.021593384341958465\n",
+    "bspline": "using default s = 3\n",
+    "sinh": "using default beta = 8.3775804095727828\n",
+}
+SHAPE_FLAGS = {"gauss": ("--sigma", "0.01"), "bspline": ("--s", "3"), "sinh": ("--beta", "9.5")}
+
+
+@pytest.mark.parametrize("window", [k.value for k in WindowKind])
+@pytest.mark.parametrize("flag", [None, *SHAPE_FLAGS])
+def test_reconstruct_window_shape_flags(sample_csv, window, flag):
+    # Each window takes only its own shape flag; without it the default is
+    # reported on stderr.
+    path, _ = sample_csv
+    extra = SHAPE_FLAGS[flag] if flag else ()
+    proc = run_cli(
+        "reconstruct", "--samples", str(path), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", window, *extra, "--at", "0.01",
+    )
+    if flag is None:
+        assert (proc.returncode, proc.stderr) == (0, DEFAULT_SHAPE_STDERR[window])
+    elif flag == window:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        name = SHAPE_FLAGS[flag][0]
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"{name} does not apply to the {window} window\n"
+    assert proc.stdout.startswith("t,value\n0.01,") == (proc.returncode == 0)
+
+
 def test_reconstruct_missing_samples_exit_3(sample_csv):
     path, _ = sample_csv
     proc = run_process(
@@ -249,6 +280,15 @@ def test_bounds_invalid_bspline_cell_is_na():
                    "--window", "bspline", "--m", "4")
     assert proc.returncode == 0
     assert ",NA," in proc.stdout.splitlines()[1]
+
+
+def test_bounds_bad_m_writes_no_rows():
+    # The m = 2 row can be computed; it may not appear when m = 0 then fails.
+    proc = run_cli("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3",
+                   "--window", "gauss", "--m", "2,0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "m must be an integer >= 2, got 0" in proc.stderr
 
 
 PLAN_TEXT = (

@@ -273,6 +273,41 @@ def test_parse_plan_fractions_and_comments():
     assert plan.trials == 7 and plan.eps == 1e-3
 
 
+ALL_PLAN_KEYS = {
+    "test_fn": "sincsqband",
+    "N": "128",
+    "m_list": "2, 5,10",
+    "tau_list": "1/3, 0.45",
+    "lambda_list": "0, 1/2, 2",
+    "windows": "rect, bspline",
+    "S": "2001",
+    "trials": "12",
+    "eps": "1/1000",
+    "seed": "77",
+}
+
+
+def plan_block(**overrides):
+    return "".join(f"{k} = {v}\n" for k, v in {**ALL_PLAN_KEYS, **overrides}.items())
+
+
+def test_parse_plan_all_keys_match_constructor():
+    plan = parse_plan(plan_block())
+    assert plan == ExperimentPlan(
+        test_fn=TestFunctionKind.SINC_SQ_BAND, N=128, m_list=(2, 5, 10),
+        tau_list=(1 / 3, 0.45), lambda_list=(0.0, 0.5, 2.0),
+        windows=(WindowKind.RECT, WindowKind.BSPLINE), S=2001, trials=12, eps=1e-3, seed=77,
+    )
+    assert all(type(x) is int for x in (plan.N, plan.S, plan.trials, plan.seed, *plan.m_list))
+    assert all(type(x) is float for x in (plan.eps, *plan.tau_list, *plan.lambda_list))
+
+
+@pytest.mark.parametrize("key,value", [("m_list", "2.5"), ("windows", "bogus")])
+def test_parse_plan_rejects_bad_values(key, value):
+    with pytest.raises(ValueError):
+        parse_plan(plan_block(**{key: value}))
+
+
 def test_parse_plan_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown plan key"):
         parse_plan("test_fn = sincband\nN = 64\nm_list = 2\ntau_list = 1/3\nlambda_list = 1\nwindows = gauss\nbogus = 1")

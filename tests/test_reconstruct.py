@@ -13,6 +13,7 @@ from regusamp.reconstruct import (
     SampleSet,
     TestFunction,
     TestFunctionKind,
+    _draw_noise,
     kernel_blocks,
     kernel_matrix,
     load_samples,
@@ -63,14 +64,11 @@ def test_sample_values_exact():
     ss = full_sample_set()
     ell = np.arange(ss.index_lo, ss.index_hi + 1)
     assert np.array_equal(ss.values, np.asarray(F(ell / CFG.L)))
-    assert ss.noise is None and ss.noise_eps == 0.0
 
 
 def test_sampleset_validation():
     with pytest.raises(ValueError):
         SampleSet(CFG, 0, 3, np.zeros(3))
-    with pytest.raises(ValueError):
-        SampleSet(CFG, 0, 2, np.zeros(3), noise=np.full(3, 0.2), noise_eps=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +80,20 @@ def test_perturb_bounded_and_deterministic():
     noisy1 = perturb(ss, 1e-3, seed=404)
     noisy2 = perturb(ss, 1e-3, seed=404)
     other = perturb(ss, 1e-3, seed=405)
-    assert np.max(np.abs(noisy1.noise)) < 1e-3
-    assert np.array_equal(noisy1.noise, noisy2.noise)
-    assert not np.array_equal(noisy1.noise, other.noise)
-    assert np.array_equal(noisy1.values, ss.values)
+    assert np.max(np.abs(noisy1.values - ss.values)) < 1e-3
+    assert np.array_equal(noisy1.values, noisy2.values)
+    assert not np.array_equal(noisy1.values, other.values)
+    assert (noisy1.cfg, noisy1.index_lo, noisy1.index_hi) == (ss.cfg, ss.index_lo, ss.index_hi)
+
+
+def test_perturb_is_samples_plus_drawn_noise():
+    # A perturbed set is plain sample data: f(l/L) + eps_l, with eps_l the
+    # seeded draw of _draw_noise, bit for bit.
+    ss = full_sample_set()
+    for eps, seed in ((1e-3, 404), (0.25, 7), (1e-12, 2)):
+        noise = _draw_noise(len(ss), eps, seed)
+        assert np.max(np.abs(noise)) < eps
+        assert np.array_equal(perturb(ss, eps, seed).values, ss.values + noise)
 
 
 def test_perturb_vanishing_noise_limit():
@@ -93,7 +101,7 @@ def test_perturb_vanishing_noise_limit():
     noisy = perturb(ss, 1e-12, seed=2)
     w = default_params(WindowKind.GAUSS, CFG)
     for t in (0.013, -0.4567, 0.9991):
-        diff = abs(reconstruct_at(noisy, w, t, use_noisy=True) - reconstruct_at(ss, w, t))
+        diff = abs(reconstruct_at(noisy, w, t) - reconstruct_at(ss, w, t))
         assert diff < 1e-9
 
 
@@ -131,10 +139,12 @@ def test_interpolation_identity_of_raw_sum():
 
 
 def test_noisy_on_grid_returns_perturbed_sample():
-    noisy = perturb(full_sample_set(), 1e-3, seed=8)
+    ss = full_sample_set()
+    noisy = perturb(ss, 1e-3, seed=8)
     w = default_params(WindowKind.BSPLINE, CFG)
-    got = reconstruct_at(noisy, w, 3 / CFG.L, use_noisy=True)
-    assert got == noisy.values[3 - noisy.index_lo] + noisy.noise[3 - noisy.index_lo]
+    got = reconstruct_at(noisy, w, 3 / CFG.L)
+    noise = _draw_noise(len(ss), 1e-3, 8)
+    assert got == ss.values[3 - ss.index_lo] + noise[3 - ss.index_lo]
 
 
 def test_zero_samples_zero_everywhere():
@@ -150,9 +160,9 @@ def test_locality_reads_exactly_2m_samples(monkeypatch):
     taken = []
     take = SampleSet.take
 
-    def recording_take(self, indices, noisy=False):
+    def recording_take(self, indices):
         taken.extend(np.asarray(indices).ravel().tolist())
-        return take(self, indices, noisy)
+        return take(self, indices)
 
     monkeypatch.setattr(SampleSet, "take", recording_take)
     t = 0.1234
@@ -199,7 +209,7 @@ def test_noise_propagation_bound():
         clean = reconstruct_grid(ss, w, t)
         for seed in range(100):
             noisy = perturb(ss, eps, seed=seed)
-            diff = np.max(np.abs(reconstruct_grid(noisy, w, t, use_noisy=True) - clean))
+            diff = np.max(np.abs(reconstruct_grid(noisy, w, t) - clean))
             assert diff <= cap
 
 
