@@ -17,7 +17,7 @@ from regusamp import (
     e1_numeric,
     e2_numeric,
     default_params,
-    run_approximation,
+    run_plan,
 )
 
 plan = ExperimentPlan(
@@ -30,10 +30,8 @@ plan = ExperimentPlan(
     S=20_001,
     seed=1,
 )
-report = run_approximation(plan)
-
 rows = {}
-for r in report.rows:
+for r in run_plan(plan):
     rows.setdefault(r.window, []).append(r)
 
 print(f"N={plan.N}, tau=1/3, lambda=1, S={plan.S} evaluation points on [-1, 1]\n")

@@ -18,7 +18,7 @@ from regusamp import (
     perturb,
     reconstruct_grid,
     robustness_bound,
-    run_perturbation,
+    run_plan,
     sample,
 )
 
@@ -35,18 +35,18 @@ plan = ExperimentPlan(
     eps=EPS,
     seed=7,
 )
-report = run_perturbation(plan)
+results = run_plan(plan)
 
 print(f"eps = {EPS}, {plan.trials} trials per cell, worst |R(noisy) - R(clean)| on [-1, 1]\n")
 print("window    m   measured      specialized   generic")
-for r in report.rows:
+for r in results:
     cfg = SamplingConfig(plan.N, r.lam, r.tau, r.m)
     rb = robustness_bound(default_params(r.window, cfg), cfg, EPS)
     print(f"{r.window.value:8s} {r.m:2d}   {r.measured:.3e}    {rb.specialized:.3e}     {rb.generic:.3e}")
 
 print("\nsublinear growth: the measured deviation grows like sqrt(m):")
 for kind in plan.windows:
-    vals = [r.measured for r in report.rows if r.window == kind]
+    vals = [r.measured for r in results if r.window == kind]
     print(f"  {kind.value:8s} measured(m=10)/measured(m=2) = {vals[-1] / vals[0]:.2f} "
           f"(sqrt(10/2) = {np.sqrt(5):.2f})")
 

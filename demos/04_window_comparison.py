@@ -10,7 +10,7 @@ runner emits).
 
 import sys
 
-from regusamp import ExperimentPlan, TestFunctionKind, WindowKind, emit_csv, run_approximation
+from regusamp import ExperimentPlan, TestFunctionKind, WindowKind, emit_csv, run_plan
 
 plan_template = dict(
     test_fn=TestFunctionKind.SINC_SQ_BAND,
@@ -26,10 +26,10 @@ out = sys.argv[1] if len(sys.argv) > 1 else "window_comparison.csv"
 all_rows = []
 for lam in (0.5, 1.0, 2.0):
     plan = ExperimentPlan(lambda_list=(lam,), **plan_template)
-    report = run_approximation(plan)
-    all_rows.extend(report.rows)
+    rows = run_plan(plan)
+    all_rows.extend(rows)
     by_kind = {}
-    for r in report.rows:
+    for r in rows:
         by_kind.setdefault(r.window, []).append(r.measured)
     print(f"\nlambda = {lam}: measured max error, N=256, tau=0.45")
     print("m     gauss        bspline      sinh         sinh wins by")
@@ -37,7 +37,5 @@ for lam in (0.5, 1.0, 2.0):
         g, b, s = (by_kind[k][i] for k in plan.windows)
         print(f"{m:<4d} {g:.3e}    {b:.3e}    {s:.3e}    {min(g, b) / s:8.1f}x")
 
-from regusamp import ErrorReport
-
-emit_csv(ErrorReport(tuple(all_rows)), out)
+emit_csv(all_rows, out)
 print(f"\nwrote {len(all_rows)} rows to {out}")

@@ -34,15 +34,7 @@ from .bounds import (
     robustness_bound,
     sinh_bound,
 )
-from .harness import (
-    ErrorReport,
-    ExperimentPlan,
-    emit_csv,
-    load_plans,
-    load_preset,
-    run_approximation,
-    run_perturbation,
-)
+from .harness import ExperimentPlan, emit_csv, load_plans, load_preset, run_plan
 
 __all__ = [
     "SamplingConfig",
@@ -75,13 +67,11 @@ __all__ = [
     "rect_bound",
     "robustness_bound",
     "sinh_bound",
-    "ErrorReport",
     "ExperimentPlan",
     "emit_csv",
     "load_plans",
     "load_preset",
-    "run_approximation",
-    "run_perturbation",
+    "run_plan",
 ]
 
 __version__ = "0.1.0"

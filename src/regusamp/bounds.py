@@ -296,7 +296,7 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
     if t.size == 0:
         raise ValueError("need at least one target")
     worst = 0.0
-    for _, (_, weights, _, _) in kernel_blocks(cfg, w, t):
+    for _, (_, weights) in kernel_blocks(cfg, w, t):
         worst = max(worst, float(np.max(np.sum(np.abs(weights), axis=1))))
     return worst
 

@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--plan", help="plan file (blocks separated by --- lines)")
     src.add_argument("--preset", choices=harness.PRESETS, help="checked-in figure grid")
     exp.add_argument("--out", required=True, help="output CSV path")
-    exp.add_argument("--jobs", type=int, default=harness.default_jobs(),
+    exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="parallel workers over configuration cells")
 
     sub.add_parser("selftest", help="fast invariant suite")
@@ -171,16 +171,16 @@ def _cmd_experiment(args) -> int:
         print(f"cannot read plan: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        report = harness.run_plans(plans, jobs=max(1, args.jobs))
+        rows = [row for plan in plans for row in harness.run_plan(plan, jobs=max(1, args.jobs))]
     except harness.BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND
     try:
-        harness.emit_csv(report, args.out)
+        harness.emit_csv(rows, args.out)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(report.rows)} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,7 +9,8 @@ plan file may stack several grids separated by ``---`` lines, which is how
 the paired tau-sweep/lambda-sweep figures are expressed.  Runs are
 deterministic given the plan seed: every (cell, trial) perturbation stream
 is derived from (seed, cell_index, trial) through a SeedSequence, so results
-do not depend on worker scheduling.
+do not depend on worker scheduling.  run_plan is the one runner: it returns
+the rows of a plan's cells, and several plans are run one after the other.
 
 Clean and noisy cells share the block evaluator of ``reconstruct``: a clean
 cell reduces the kernel blocks against the samples (reconstruct_grid), a
@@ -21,7 +22,6 @@ worker, so ``jobs`` > 1 changes the scheduling only, never a row.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -100,11 +100,6 @@ class ErrorRow:
     bound_valid: bool
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    rows: tuple[ErrorRow, ...]
-
-
 def _eval_grid(S: int) -> np.ndarray:
     # S equidistant points inclusive of both endpoints of [-1, 1].
     return np.linspace(-1.0, 1.0, S)
@@ -178,10 +173,18 @@ def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
     return _approx_cell(plan, cell)
 
 
-def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
-    """Rows of every cell in plan order: perturbation runs when eps > 0,
-    clean approximation runs otherwise.  ``jobs`` > 1 runs the cells in
-    worker processes, which changes no row."""
+def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
+    """Rows of every cell in plan order.  ``jobs`` > 1 runs the cells in
+    worker processes, which changes no row.
+
+    Samples cover l = -L-m .. L+m, which is exactly the range the localized
+    formula touches for targets in [-1, 1].  With eps = 0 a row is the
+    measured max |f - Rf| over [-1, 1] paired with the window's closed-form
+    bound (NA where the B-spline gate rejects the cell).  With eps > 0 it is
+    the measured max |R(f~) - R(f)| over [-1, 1], maximized over the seeded
+    noise trials, paired with the window-specialized robustness bound.  A
+    measured error above a valid bound aborts the run with BoundViolation.
+    """
     worker = partial(_run_cell, plan)
     count = len(plan.cells())
     if jobs <= 1 or count <= 1:
@@ -189,41 +192,20 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(worker, range(count)))
-    return ErrorReport(tuple(rows))
-
-
-def run_approximation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
-    """Measured max |f - Rf| over [-1, 1] per cell, paired with the window's
-    closed-form bound (NA where the B-spline gate rejects the cell).
-
-    Samples cover l = -L-m .. L+m, which is exactly the range the localized
-    formula touches for targets in [-1, 1].  A measured error above a valid
-    bound aborts the run with BoundViolation.
-    """
-    if plan.eps != 0.0:
-        raise ValueError("approximation runs need eps = 0")
-    return run_plan(plan, jobs)
-
-
-def run_perturbation(plan: ExperimentPlan, jobs: int = 1) -> ErrorReport:
-    """Measured max |R(f~) - R(f)| over [-1, 1], maximized over seeded noise
-    trials, paired with the window-specialized robustness bound."""
-    if plan.eps <= 0.0:
-        raise ValueError("perturbation runs need eps > 0")
-    return run_plan(plan, jobs)
+    return tuple(rows)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def emit_csv(report: ErrorReport, path) -> None:
+def emit_csv(rows, path) -> None:
     """Write ``window,m,tau,lambda,measured,bound,bound_valid`` rows, 17
     significant digits, in plan iteration order; bound is the literal ``NA``
     on rows whose closed-form bound is inapplicable."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("window,m,tau,lambda,measured,bound,bound_valid\n")
-        for r in report.rows:
+        for r in rows:
             bound = _fmt(r.bound) if r.bound_valid else "NA"
             fh.write(
                 f"{r.window.value},{r.m},{_fmt(r.tau)},{_fmt(r.lam)},"
@@ -232,8 +214,14 @@ def emit_csv(report: ErrorReport, path) -> None:
 
 
 def parse_fraction(text: str) -> float:
-    """A decimal or a fraction such as 1/3, as a float."""
-    return float(Fraction(text)) if "/" in text else float(text)
+    """A decimal or a fraction such as 1/3, as a float.  A zero denominator
+    raises ValueError, like any other text that is not a number."""
+    if "/" not in text:
+        return float(text)
+    try:
+        return float(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_list(text: str):
@@ -302,32 +290,15 @@ def load_plans(path) -> list[ExperimentPlan]:
 PRESETS = ("fig2", "fig5", "fig6", "fig8", "fig9", "fig10")
 
 
-def preset_path(name: str):
-    """Filesystem path of a checked-in preset plan."""
+def load_preset(name: str, seed: int | None = None, S: int | None = None) -> list[ExperimentPlan]:
+    """The checked-in preset plans, optionally overriding the seed (e.g. from
+    the REGUSAMP_SEED environment variable) or the evaluation-point count."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
-    return resources.files("regusamp").joinpath("presets", f"{name}.plan")
-
-
-def load_preset(name: str, seed: int | None = None, S: int | None = None) -> list[ExperimentPlan]:
-    """Preset plans, optionally overriding the seed (e.g. from the
-    REGUSAMP_SEED environment variable) or the evaluation-point count."""
-    with resources.as_file(preset_path(name)) as p:
+    with resources.as_file(resources.files("regusamp").joinpath("presets", f"{name}.plan")) as p:
         plans = load_plans(p)
     if seed is not None:
         plans = [replace(p, seed=seed) for p in plans]
     if S is not None:
         plans = [replace(p, S=S) for p in plans]
     return plans
-
-
-def run_plans(plans, jobs: int = 1) -> ErrorReport:
-    """Run several plans and concatenate their rows in order."""
-    rows: list[ErrorRow] = []
-    for plan in plans:
-        rows.extend(run_plan(plan, jobs).rows)
-    return ErrorReport(tuple(rows))
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

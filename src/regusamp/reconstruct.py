@@ -10,7 +10,9 @@ plain sample data: perturb returns the samples f(l/L) + eps_l, which every
 evaluator reads like any other sample set.
 
 Every evaluation goes through one block evaluator, kernel_blocks, which
-builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time.
+builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time.  Every
+row has one layout: an on-grid target j/L reads sample j alone, with a unit
+weight at column m - 1, so column m - 1 always sits at index floor(L*t).
 reconstruct_grid reduces each block against the samples, and reconstruct_at
 is its one-point call, so a point gets the same value alone or in a grid.
 noise_response_max reduces each block against a whole matrix of noise
@@ -51,7 +53,6 @@ class TestFunctionKind(str, Enum):
 
     SINC_BAND = "sincband"
     SINC_SQ_BAND = "sincsqband"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -62,31 +63,25 @@ class TestFunction:
                 flat spectrum on [-delta, delta].
     sincsqband: f(t) = delta * sinc(delta*pi*t)^2, triangular spectrum on
                 [-delta, delta], L2 norm sqrt(2*delta/3).
-    custom:     any callable plus its L2 norm (needed for bound scaling).
+    Both norms are closed forms; they scale the error bounds.
     """
 
     __test__ = False  # not a pytest collection target
 
     kind: TestFunctionKind
     delta: float
-    func: object = None
-    norm: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TestFunctionKind(self.kind))
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta!r}")
-        if self.kind is TestFunctionKind.CUSTOM and self.func is None:
-            raise ValueError("custom test function needs a callable")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind is TestFunctionKind.SINC_BAND:
             out = math.sqrt(2.0 * self.delta) * sinc(2.0 * self.delta * math.pi * t)
-        elif self.kind is TestFunctionKind.SINC_SQ_BAND:
-            out = self.delta * np.asarray(sinc(self.delta * math.pi * t)) ** 2
         else:
-            out = np.asarray(self.func(t), dtype=float)
+            out = self.delta * np.asarray(sinc(self.delta * math.pi * t)) ** 2
         out = np.asarray(out)
         return out if out.ndim else float(out)
 
@@ -94,11 +89,7 @@ class TestFunction:
     def l2_norm(self) -> float:
         if self.kind is TestFunctionKind.SINC_BAND:
             return 1.0
-        if self.kind is TestFunctionKind.SINC_SQ_BAND:
-            return math.sqrt(2.0 * self.delta / 3.0)
-        if self.norm is None:
-            raise ValueError("custom test function has no recorded L2 norm")
-        return self.norm
+        return math.sqrt(2.0 * self.delta / 3.0)
 
 
 @dataclass
@@ -182,10 +173,13 @@ KERNEL_BLOCK = 4096
 def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
     """Per-point sample indices and kernel weights for a batch of targets.
 
-    Returns (idx, weights, ongrid, j): for row i the reconstruction is
-    sum(values[idx[i]] * weights[i]); rows at exact grid points are encoded
-    as a single unit weight on index j[i].  The batched evaluators call it
-    on one block of kernel_blocks at a time.
+    Returns (idx, weights): for row i the reconstruction is
+    sum(values[idx[i]] * weights[i]).  Row i covers the window k - m + 1 ..
+    k + m with k = floor(L*t[i]), so idx[i, m - 1] - (m - 1) is its window
+    start.  A row at an exact grid point t = j/L reads sample j alone: idx
+    is j in every column and the weight is a unit at column m - 1, which
+    keeps that window start.  The batched evaluators call it on one block of
+    kernel_blocks at a time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -193,26 +187,24 @@ def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
     check_finite("targets", t)
     L, m = cfg.L, cfg.m
     Lt = L * t
-    j = np.rint(Lt)
-    ongrid = Lt == j
-    j = j.astype(np.int64)
-    k = np.floor(Lt).astype(np.int64)
+    k = np.floor(Lt)
+    ongrid = Lt == k
+    k = k.astype(np.int64)
     offs = np.arange(-m + 1, m + 1, dtype=np.int64)
     idx = k[:, None] + offs[None, :]
     x = t[:, None] - idx / L
     weights = np.asarray(psi(KernelEval(w, cfg), x))
     if np.any(ongrid):
-        idx[ongrid] = j[ongrid, None]
-        unit = np.zeros(2 * m)
-        unit[0] = 1.0
-        weights[ongrid] = unit
-    return idx, weights, ongrid, j
+        idx[ongrid] = k[ongrid, None]
+        weights[ongrid] = 0.0
+        weights[ongrid, m - 1] = 1.0
+    return idx, weights
 
 
 def kernel_blocks(cfg: SamplingConfig, w: WindowSpec, t):
     """kernel_matrix over consecutive blocks of KERNEL_BLOCK targets.
 
-    Yields (rows, (idx, weights, ongrid, j)), where ``rows`` is the slice of
+    Yields (rows, (idx, weights)), where ``rows`` is the slice of
     ``t`` the block covers.  Every batched evaluation (reconstruct_grid,
     noise_response_max, bounds.noise_amplification) reduces the blocks as
     they come, so no S x 2m array is ever held whole.
@@ -236,18 +228,19 @@ def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
-    for rows, (idx, weights, ongrid, _) in kernel_blocks(ss.cfg, w, t):
+    for rows, (idx, weights) in kernel_blocks(ss.cfg, w, t):
         if idx.min() < ss.index_lo or idx.max() > ss.index_hi:
-            raise _uncovered(ss, t[rows], idx, ongrid)
+            raise _uncovered(ss, t[rows], idx)
         np.einsum("ij,ij->i", ss.take(idx), weights, out=out[rows])
     return out
 
 
-def _uncovered(ss: SampleSet, t, idx, ongrid) -> IndexOutOfRange:
-    """The error for the first target of a block whose window ``ss`` lacks."""
+def _uncovered(ss: SampleSet, t, idx) -> IndexOutOfRange:
+    """The error for the first target of a block whose window ``ss`` lacks;
+    an on-grid row is the one whose indices are all equal."""
     i = int(np.argmax((idx[:, 0] < ss.index_lo) | (idx[:, -1] > ss.index_hi)))
     covers = f"sample set covers [{ss.index_lo}, {ss.index_hi}]"
-    if ongrid[i]:
+    if idx[i, 0] == idx[i, -1]:
         return IndexOutOfRange(f"t = {float(t[i])!r} needs sample index {int(idx[i, 0])}; {covers}")
     return IndexOutOfRange(
         f"t = {float(t[i])!r} requires samples for indices [{int(idx[i, 0])}, {int(idx[i, -1])}]; {covers}"
@@ -263,22 +256,18 @@ def noise_response_max(cfg: SamplingConfig, w: WindowSpec, t, index_lo: int, noi
     kernel_blocks consecutive rows that share a window start k - m + 1 read
     one slice of every trial's noise, so each run of such rows is a single
     matrix product weights[run] @ noise[:, s:s+2m].T (sorted targets make
-    the runs long).  An on-grid row becomes a unit weight at column m - 1 of
-    its window, which is exact.  Raises IndexOutOfRange when a target's
-    window is not covered.
+    the runs long).  kernel_matrix puts an on-grid row's unit weight at
+    column m - 1 of that window, so every row reads it the same way.  Raises
+    IndexOutOfRange when a target's window is not covered.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 2:
         raise ValueError("noise must be a (trials, n) matrix")
     m2 = 2 * cfg.m
     n = noise.shape[1]
-    unit = np.zeros(m2)
-    unit[cfg.m - 1] = 1.0
     worst = 0.0
-    for _, (idx, weights, ongrid, j) in kernel_blocks(cfg, w, t):
-        start = idx[:, 0] - index_lo
-        start[ongrid] = j[ongrid] - cfg.m + 1 - index_lo
-        weights[ongrid] = unit
+    for _, (idx, weights) in kernel_blocks(cfg, w, t):
+        start = idx[:, cfg.m - 1] - (cfg.m - 1) - index_lo
         lo, hi = int(start.min()), int(start.max()) + m2 - 1
         if lo < 0 or hi >= n:
             raise IndexOutOfRange(

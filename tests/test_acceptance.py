@@ -57,7 +57,7 @@ def _measured_approx(cfg: SamplingConfig, kind: WindowKind, fn_kind: TestFunctio
     f = TestFunction(fn_kind, delta=cfg.delta)
     ss = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
     t = np.linspace(-1.0, 1.0, S_POINTS)
-    idx, weights, _, _ = kernel_matrix(cfg, w, t)
+    idx, weights = kernel_matrix(cfg, w, t)
     rec = np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
     return float(np.max(np.abs(np.asarray(f(t)) - rec)))
 
@@ -171,7 +171,7 @@ def test_criterion_5_bound_dominance_noise():
                 w = default_params(kind, cfg)
                 lo, hi = -cfg.L - m, cfg.L + m
                 t = np.linspace(-1.0, 1.0, S_POINTS)
-                idx, weights, _, _ = kernel_matrix(cfg, w, t)
+                idx, weights = kernel_matrix(cfg, w, t)
                 flat = idx - lo
                 measured = 0.0
                 for trial in range(TRIALS):

@@ -304,7 +304,7 @@ def test_alias_bands_defeat_plain_e1():
     f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
     ss = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
     t = np.linspace(-1.0, 1.0, 20_001)
-    idx, weights, _, _ = kernel_matrix(cfg, w, t)
+    idx, weights = kernel_matrix(cfg, w, t)
     rec = np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
     measured = float(np.max(np.abs(np.asarray(f(t)) - rec)))
     plain = e1_numeric(w, cfg) + e2_numeric(w, cfg)

@@ -328,12 +328,31 @@ def test_experiment_bound_violation_exit_4(tmp_path, monkeypatch):
     plan = tmp_path / "small.plan"
     plan.write_text(PLAN_TEXT)
 
-    def boom(plans, jobs):
+    def boom(plan, jobs):
         raise BoundViolation("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli_mod.harness, "run_plans", boom)
+    monkeypatch.setattr(cli_mod.harness, "run_plan", boom)
     code = cli_mod.main(["experiment", "--plan", str(plan), "--out", str(tmp_path / "o.csv")])
     assert code == 4
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--lambda"])
+def test_zero_denominator_flag_exit_2(flag):
+    args = {"--N": "128", "--lambda": "1", "--tau": "1/3", "--window": "rect", "--m": "2", flag: "1/0"}
+    proc = run_cli("bounds", *(x for item in args.items() for x in item))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag}" in proc.stderr and "'1/0'" in proc.stderr
+
+
+def test_experiment_zero_denominator_plan_exit_2(tmp_path):
+    plan = tmp_path / "zero.plan"
+    plan.write_text(PLAN_TEXT.replace("tau_list = 1/3", "tau_list = 1/0"))
+    out = tmp_path / "o.csv"
+    proc = run_cli("experiment", "--plan", str(plan), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert "'1/0'" in proc.stderr
 
 
 def test_experiment_missing_plan_exit_5(tmp_path):

@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the current public API."""
+"""Every demo runs to completion against the current public API, and every
+name that API exports exists."""
 
 import runpy
 import sys
@@ -6,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
+import regusamp
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_every_export_resolves():
+    missing = [name for name in regusamp.__all__ if not hasattr(regusamp, name)]
+    assert missing == []
+    assert len(set(regusamp.__all__)) == len(regusamp.__all__)
 
 
 def test_demos_found():

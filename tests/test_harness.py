@@ -10,15 +10,12 @@ from regusamp.bounds import e1_numeric, e2_numeric, noise_amplification, robustn
 from regusamp.harness import (
     PRESETS,
     BoundViolation,
-    ErrorReport,
     ErrorRow,
     ExperimentPlan,
     emit_csv,
     load_plans,
     load_preset,
     parse_plan,
-    run_approximation,
-    run_perturbation,
     run_plan,
 )
 from regusamp.reconstruct import TestFunctionKind, _draw_noise, kernel_matrix
@@ -63,12 +60,12 @@ def test_cells_order():
 
 
 def test_approximation_rows_and_decay():
-    rep = run_approximation(SMALL_PLAN)
-    assert len(rep.rows) == 6
-    for row in rep.rows:
+    rows = run_plan(SMALL_PLAN)
+    assert len(rows) == 6
+    for row in rows:
         assert row.bound_valid and row.measured <= row.bound
     by_window = {}
-    for row in rep.rows:
+    for row in rows:
         by_window.setdefault(row.window, []).append(row.measured)
     for vals in by_window.values():
         floor = 2e-15
@@ -77,19 +74,10 @@ def test_approximation_rows_and_decay():
 
 
 def test_measured_below_numeric_constants():
-    rep = run_approximation(SMALL_PLAN)
-    for row in rep.rows:
+    for row in run_plan(SMALL_PLAN):
         cfg = SamplingConfig(SMALL_PLAN.N, row.lam, row.tau, row.m)
         w = default_params(row.window, cfg)
         assert row.measured <= e1_numeric(w, cfg) + e2_numeric(w, cfg)
-
-
-def test_approximation_rejects_noisy_plan():
-    noisy = dataclasses.replace(SMALL_PLAN, eps=1e-3)
-    with pytest.raises(ValueError):
-        run_approximation(noisy)
-    with pytest.raises(ValueError):
-        run_perturbation(SMALL_PLAN)
 
 
 def test_perturbation_bounds_and_determinism(tmp_path):
@@ -97,7 +85,7 @@ def test_perturbation_bounds_and_determinism(tmp_path):
     rep1 = run_plan(plan)
     rep2 = run_plan(plan)
     assert rep1 == rep2
-    for row in rep1.rows:
+    for row in rep1:
         assert row.measured <= row.bound
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(rep1, p1)
@@ -115,17 +103,17 @@ def test_perturbation_sublinear_growth_in_m():
     plan = dataclasses.replace(
         SMALL_PLAN, m_list=(2, 8), windows=(WindowKind.SINH,), eps=1e-3, trials=10, S=2001
     )
-    rows = run_plan(plan).rows
+    rows = run_plan(plan)
     assert rows[1].measured / rows[0].measured < 4.0  # sqrt(m)-like, not linear
 
 
 def test_parallel_matches_serial():
-    rep1 = run_approximation(SMALL_PLAN, jobs=1)
-    rep2 = run_approximation(SMALL_PLAN, jobs=2)
+    rep1 = run_plan(SMALL_PLAN, jobs=1)
+    rep2 = run_plan(SMALL_PLAN, jobs=2)
     assert rep1 == rep2
     noisy = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=5, S=501)
-    rows1 = run_perturbation(noisy, jobs=1).rows
-    rows2 = run_perturbation(noisy, jobs=2).rows
+    rows1 = run_plan(noisy, jobs=1)
+    rows2 = run_plan(noisy, jobs=2)
     assert len(rows1) == len(noisy.cells())
     for r1, r2 in zip(rows1, rows2):
         assert r1 == r2
@@ -141,7 +129,7 @@ def per_trial_reference(plan, cell_index):
     cfg = SamplingConfig(plan.N, lam, tau, m)
     w = default_params(kind, cfg)
     lo, hi = -cfg.L - m, cfg.L + m
-    idx, weights, _, _ = kernel_matrix(cfg, w, np.linspace(-1.0, 1.0, plan.S))
+    idx, weights = kernel_matrix(cfg, w, np.linspace(-1.0, 1.0, plan.S))
     measured = 0.0
     for trial in range(plan.trials):
         seed = np.random.SeedSequence((plan.seed, cell_index, trial))
@@ -152,17 +140,17 @@ def per_trial_reference(plan, cell_index):
 
 
 def test_batched_trials_match_per_trial_loop():
-    rows = run_perturbation(NOISY_PLAN).rows
+    rows = run_plan(NOISY_PLAN)
     for i, row in enumerate(rows):
         want = per_trial_reference(NOISY_PLAN, i)
         assert abs(row.measured - want) <= 4 * np.spacing(want)
 
 
 def test_trial_blocks_do_not_change_the_maximum(monkeypatch):
-    whole = run_perturbation(NOISY_PLAN).rows
+    whole = run_plan(NOISY_PLAN)
     # Blocks of 3 noise rows (the cells have n = 2L + 2m + 1 <= 269 samples).
     monkeypatch.setattr(harness_mod, "_NOISE_BLOCK_VALUES", 3 * 269)
-    blocked = run_perturbation(NOISY_PLAN).rows
+    blocked = run_plan(NOISY_PLAN)
     for a, b in zip(whole, blocked):
         assert abs(a.measured - b.measured) <= 4 * np.spacing(a.measured)
 
@@ -200,21 +188,21 @@ def test_smaller_tau_and_larger_lambda_improve_gauss():
         SMALL_PLAN, N=128, m_list=(6,), windows=(WindowKind.GAUSS,),
         tau_list=(1 / 20, 9 / 20), lambda_list=(1.0,), S=4001,
     )
-    rows = run_approximation(plan).rows
+    rows = run_plan(plan)
     assert rows[0].measured < rows[1].measured  # tau = 1/20 beats 9/20
     plan = dataclasses.replace(plan, tau_list=(1 / 3,), lambda_list=(0.0, 2.0))
-    rows = run_approximation(plan).rows
+    rows = run_plan(plan)
     assert rows[1].measured < rows[0].measured  # lambda = 2 beats 0
 
 
 def test_comparison_preset_row_layout():
     plans = load_preset("fig10", S=201)
-    report = run_plan(plans[0])
-    assert len(report.rows) == 81  # 3 windows x 3 lambdas x 9 m-values
+    rows = run_plan(plans[0])
+    assert len(rows) == 81  # 3 windows x 3 lambdas x 9 m-values
     for lam in (0.5, 1.0, 2.0):
-        assert sum(r.lam == lam for r in report.rows) == 27
+        assert sum(r.lam == lam for r in rows) == 27
     # B-spline closed form applies only at lambda = 2 on this grid.
-    for r in report.rows:
+    for r in rows:
         if r.window is WindowKind.BSPLINE:
             assert r.bound_valid == (r.lam == 2.0)
         else:
@@ -226,7 +214,7 @@ def test_bound_violation_aborts_run(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "closed_form_bound", lambda kind, cfg: 1e-300)
     with pytest.raises(BoundViolation, match="approximation error"):
-        run_approximation(SMALL_PLAN)
+        run_plan(SMALL_PLAN)
 
     from regusamp.bounds import RobustnessBound
 
@@ -235,18 +223,18 @@ def test_bound_violation_aborts_run(monkeypatch):
     )
     noisy = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=1, S=101)
     with pytest.raises(BoundViolation, match="perturbation error"):
-        run_perturbation(noisy)
+        run_plan(noisy)
 
 
 def test_emit_csv_contract(tmp_path):
     path = tmp_path / "r.csv"
-    emit_csv(ErrorReport(()), path)
+    emit_csv((), path)
     assert path.read_text() == "window,m,tau,lambda,measured,bound,bound_valid\n"
     rows = (
         ErrorRow(WindowKind.BSPLINE, 3, 0.45, 1.0, 1.25e-3, None, False),
         ErrorRow(WindowKind.SINH, 3, 0.45, 1.0, 1.25e-3, 5e-2, True),
     )
-    emit_csv(ErrorReport(rows), path)
+    emit_csv(rows, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1] == "bspline,3,0.45000000000000001,1,0.00125,NA,false"
@@ -302,7 +290,12 @@ def test_parse_plan_all_keys_match_constructor():
     assert all(type(x) is float for x in (plan.eps, *plan.tau_list, *plan.lambda_list))
 
 
-@pytest.mark.parametrize("key,value", [("m_list", "2.5"), ("windows", "bogus")])
+# A plan with an unknown test signal ("custom") or a zero denominator fails
+# while parsing, before any cell runs.
+@pytest.mark.parametrize(
+    "key,value",
+    [("m_list", "2.5"), ("windows", "bogus"), ("test_fn", "custom"), ("tau_list", "1/0")],
+)
 def test_parse_plan_rejects_bad_values(key, value):
     with pytest.raises(ValueError):
         parse_plan(plan_block(**{key: value}))

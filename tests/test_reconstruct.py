@@ -52,14 +52,6 @@ def test_sincsqband_values():
     assert f.l2_norm == pytest.approx(math.sqrt(2.0 * CFG.delta / 3.0), rel=1e-15)
 
 
-def test_custom_function():
-    f = TestFunction(TestFunctionKind.CUSTOM, delta=1.0, func=lambda t: np.cos(t), norm=2.0)
-    assert f(0.0) == 1.0
-    assert f.l2_norm == 2.0
-    with pytest.raises(ValueError):
-        TestFunction(TestFunctionKind.CUSTOM, delta=1.0)
-
-
 def test_sample_values_exact():
     ss = full_sample_set()
     ell = np.arange(ss.index_lo, ss.index_hi + 1)
@@ -246,21 +238,41 @@ def test_non_finite_targets_rejected(bad):
 
 
 def test_kernel_matrix_shapes():
-    idx, weights, ongrid, j = kernel_matrix(CFG, default_params(WindowKind.SINH, CFG), np.array([0.3, 1.0]))
-    assert idx.shape == weights.shape == (2, 2 * CFG.m)
-    assert bool(ongrid[1]) and j[1] == CFG.L
+    m = CFG.m
+    idx, weights = kernel_matrix(CFG, default_params(WindowKind.SINH, CFG), np.array([0.3, 1.0, -0.5]))
+    assert idx.shape == weights.shape == (3, 2 * m)
+    k = int(np.floor(CFG.L * 0.3))
+    assert np.array_equal(idx[0], np.arange(k - m + 1, k + m + 1))
+    # An on-grid row t = j/L reads sample j alone, with a unit weight at column m - 1.
+    unit = np.zeros(2 * m)
+    unit[m - 1] = 1.0
+    for row, j in ((1, CFG.L), (2, -CFG.L // 2)):
+        assert np.all(idx[row] == j)
+        assert np.array_equal(weights[row], unit)
+
+
+@pytest.mark.parametrize("kind", list(WindowKind))
+def test_kernel_matrix_column_m_minus_1_is_window_start(kind):
+    # The row layout noise_response_max relies on: idx[:, m-1] - (m-1) is the
+    # window start floor(L*t) - m + 1 of every row, on the grid or off it.
+    rng = np.random.default_rng(3)
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 500), np.arange(-CFG.L, CFG.L + 1) / CFG.L])
+    rng.shuffle(t)
+    m = CFG.m
+    idx, _ = kernel_matrix(CFG, default_params(kind, CFG), t)
+    assert np.array_equal(idx[:, m - 1] - (m - 1), np.floor(CFG.L * t).astype(np.int64) - m + 1)
 
 
 def whole_array_grid(ss, w, t):
     """One kernel_matrix over all targets, reduced with one einsum."""
-    idx, weights, _, _ = kernel_matrix(ss.cfg, w, t)
+    idx, weights = kernel_matrix(ss.cfg, w, t)
     return np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
 
 
 def test_kernel_blocks_tile_the_targets():
     t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
     blocks = list(kernel_blocks(CFG, default_params(WindowKind.GAUSS, CFG), t))
-    assert [(rows.start, len(idx)) for rows, (idx, _, _, _) in blocks] == [
+    assert [(rows.start, len(idx)) for rows, (idx, _) in blocks] == [
         (0, KERNEL_BLOCK), (KERNEL_BLOCK, KERNEL_BLOCK), (2 * KERNEL_BLOCK, 1)]
     assert list(kernel_blocks(CFG, default_params(WindowKind.GAUSS, CFG), np.array([]))) == []
 
@@ -330,7 +342,7 @@ def test_noise_response_matches_gathered_sums():
     t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
     lo, hi = -CFG.L - CFG.m, CFG.L + CFG.m
     noise = rng.uniform(-1e-3, 1e-3, (4, hi - lo + 1))
-    idx, weights, _, _ = kernel_matrix(CFG, w, t)
+    idx, weights = kernel_matrix(CFG, w, t)
     want = max(float(np.max(np.abs(np.einsum("ij,ij->i", row[idx - lo], weights)))) for row in noise)
     got = noise_response_max(CFG, w, t, lo, noise)
     assert abs(got - want) <= 4 * np.spacing(want)
