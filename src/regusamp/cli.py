@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bounds", help="print error constants")
     add_cfg_flags(bnd)
     bnd.add_argument("--m", required=True, help="truncation parameter or comma list, e.g. 2,3,4")
-    bnd.add_argument("--eps", type=float, default=1e-3, help="noise bound for robustness columns")
+    bnd.add_argument("--eps", type=harness.parse_fraction, default=1e-3, help="noise bound for robustness columns")
 
     exp = sub.add_parser("experiment", help="run an experiment plan")
     src = exp.add_mutually_exclusive_group(required=True)

@@ -250,7 +250,8 @@ _PLAN_KEYS = {
 
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse one key = value block; keys mirror the ExperimentPlan fields,
-    lists are comma-separated, and fractions like 1/3 are accepted."""
+    lists are comma-separated, and fractions like 1/3 are accepted.  A key
+    given twice in one block is an error, not an override."""
     fields: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -261,6 +262,8 @@ def parse_plan(text: str) -> ExperimentPlan:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _PLAN_KEYS:
             raise ValueError(f"unknown plan key {key!r}")
+        if key in fields:
+            raise ValueError(f"plan key {key!r} given twice")
         fields[key] = _PLAN_KEYS[key](val)
     missing = {"test_fn", "N", "m_list", "tau_list", "lambda_list", "windows"} - set(fields)
     if missing:

@@ -41,14 +41,20 @@ def sinc(x):
     """sin(x)/x with sinc(0) = 1.
 
     For |x| < 1e-4 the truncated Taylor series 1 - x^2/6 + x^4/120 is used;
-    its truncation error there is below 1e-28.
+    its truncation error there is below 1e-28.  The result is allocated
+    once: sin and the division run in place, and only the few small entries
+    are overwritten with the series.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    x2 = x * x
-    out = np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0,
-                   np.sin(xs) / np.where(small, 1.0, xs))
+    out = np.abs(x, out=np.empty_like(x))
+    small = out < 1e-4
+    np.sin(x, out=out)
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
+        np.divide(out, x, out=out)
+    if small.any():
+        xs = x[small]
+        x2 = xs * xs
+        out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return out if out.ndim else float(out)
 
 
@@ -67,8 +73,8 @@ def psi(k: KernelEval, x):
     psi interpolates the samples.  Zero outside [-m/L, m/L].
     """
     x = np.asarray(x, dtype=float)
-    out = sinc(k.cfg.L * math.pi * x) * eval_truncated(k.window, k.cfg, x)
-    out = np.asarray(out)
+    out = np.asarray(sinc(k.cfg.L * math.pi * x))
+    out *= eval_truncated(k.window, k.cfg, x)
     return out if out.ndim else float(out)
 
 

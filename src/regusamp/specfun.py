@@ -72,14 +72,22 @@ def cardinal_bspline(order_2s, x):
         raise InvalidOrder(f"order must be an even integer >= 2, got {order_2s!r}")
     s = order // 2
     coef = _bspline_pieces(s)
-    w = s - np.abs(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    u = np.abs(x, out=np.empty_like(x))
+    np.subtract(s, u, out=u)  # w = s - |x|
     # fmax maps NaN to piece 0, where u keeps the NaN; |x| >= s gives u = 0.
-    p = np.floor(np.minimum(np.fmax(w, 0.0), s - 1))
-    u = np.maximum(w - p, 0.0)
+    p = np.fmax(u, 0.0, out=np.empty_like(u))
+    np.minimum(p, s - 1, out=p)
+    np.floor(p, out=p)
+    np.subtract(u, p, out=u)
+    np.maximum(u, 0.0, out=u)
     piece = p.astype(np.intp)
-    out = np.take(coef[-1], piece)
+    # Horner's rule; p is spent, so it holds each row's gathered coefficients
+    # (mode="clip" lets take write into it unbuffered: piece is in 0..s-1).
+    out = coef[-1].take(piece)
     for row in coef[-2::-1]:
-        out = out * u + np.take(row, piece)
+        out *= u
+        out += row.take(piece, out=p, mode="clip")
     return out if out.ndim else float(out)
 
 

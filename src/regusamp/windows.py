@@ -180,26 +180,41 @@ def eval_window(w: WindowSpec, cfg: SamplingConfig, x):
 
     The sinh ratio is evaluated as exp(beta*(u-1)) * (1-exp(-2*beta*u)) /
     (1-exp(-2*beta)) with u = sqrt(1-(Lx/m)^2), which never overflows.
+    Each kind allocates its result once and works in place after that.
     """
     x = np.asarray(x, dtype=float)
     m_over_L = cfg.m / cfg.L
     if w.kind is WindowKind.RECT:
-        out = (np.abs(x) <= m_over_L).astype(float)
+        out = np.abs(x, out=np.empty_like(x))
+        np.less_equal(out, m_over_L, out=out)  # stored as 1.0 or 0.0
     elif w.kind is WindowKind.GAUSS:
-        out = np.exp(-(x * x) / (2.0 * w.sigma * w.sigma))
+        out = np.multiply(x, x, out=np.empty_like(x))
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * w.sigma * w.sigma, out=out)
+        np.exp(out, out=out)
     elif w.kind is WindowKind.BSPLINE:
-        arg = cfg.L * x * w.s / cfg.m
-        out = specfun.cardinal_bspline(2 * w.s, arg) / bspline_center_value(w.s)
-        out = np.asarray(out, dtype=float)
+        arg = np.multiply(x, cfg.L, out=np.empty_like(x))
+        arg *= w.s
+        arg /= cfg.m
+        out = np.asarray(specfun.cardinal_bspline(2 * w.s, arg))
+        out /= bspline_center_value(w.s)
     else:
-        r = cfg.L * x / cfg.m
-        u = np.sqrt(np.clip(1.0 - r * r, 0.0, None))
+        r = np.multiply(x, cfg.L, out=np.empty_like(x))
+        r /= cfg.m
+        u = np.multiply(r, r, out=np.empty_like(r))
+        np.subtract(1.0, u, out=u)
+        np.maximum(u, 0.0, out=u)
+        np.sqrt(u, out=u)
         beta = w.beta
-        out = np.where(
-            np.abs(r) <= 1.0,
-            np.exp(beta * (u - 1.0)) * (-np.expm1(-2.0 * beta * u)) / (-math.expm1(-2.0 * beta)),
-            0.0,
-        )
+        out = np.subtract(u, 1.0, out=np.empty_like(u))
+        out *= beta
+        np.exp(out, out=out)
+        u *= -2.0 * beta
+        np.expm1(u, out=u)
+        np.negative(u, out=u)
+        out *= u
+        out /= -math.expm1(-2.0 * beta)
+        out[~(np.abs(r, out=r) <= 1.0)] = 0.0  # as np.where: NaN maps to 0
     return out if out.ndim else float(out)
 
 
@@ -213,7 +228,7 @@ def eval_truncated(w: WindowSpec, cfg: SamplingConfig, x):
     x = np.asarray(x, dtype=float)
     out = np.asarray(eval_window(w, cfg, x), dtype=float)
     if w.kind is WindowKind.GAUSS:
-        out = np.where(np.abs(x) <= cfg.m / cfg.L, out, 0.0)
+        out[~(np.abs(x) <= cfg.m / cfg.L)] = 0.0  # as np.where: NaN maps to 0
     return out if out.ndim else float(out)
 
 

@@ -355,6 +355,40 @@ def test_experiment_zero_denominator_plan_exit_2(tmp_path):
     assert "'1/0'" in proc.stderr
 
 
+def test_experiment_repeated_plan_key_exit_2(tmp_path):
+    plan = tmp_path / "twice.plan"
+    plan.write_text(PLAN_TEXT + "tau_list = 1/4\n")
+    out = tmp_path / "o.csv"
+    proc = run_cli("experiment", "--plan", str(plan), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert "'tau_list' given twice" in proc.stderr
+
+
+def test_bounds_eps_accepts_fraction():
+    args = ("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3", "--window", "sinh", "--m", "2,5")
+    frac = run_cli(*args, "--eps", "1/1000")
+    dec = run_cli(*args, "--eps", "0.001")
+    assert frac.returncode == 0 and dec.returncode == 0
+    assert frac.stdout == dec.stdout and frac.stdout.count("\n") == 3
+    assert frac.stderr == dec.stderr
+
+
+def test_reconstruct_malformed_sample_row_exit_2(sample_csv, tmp_path):
+    path, _ = sample_csv
+    bad = tmp_path / "bad.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].rstrip("\n") + ",7\n"
+    bad.write_text("".join(lines))
+    proc = run_cli(
+        "reconstruct", "--samples", str(bad), "--N", "32", "--lambda", "1",
+        "--tau", "1/3", "--m", "4", "--window", "rect", "--at", "0.1",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"{bad}, line 4: expected 2 fields" in proc.stderr
+
+
 def test_experiment_missing_plan_exit_5(tmp_path):
     proc = run_cli("experiment", "--plan", str(tmp_path / "nope.plan"), "--out", str(tmp_path / "o.csv"))
     assert proc.returncode == 5

@@ -290,15 +290,21 @@ def test_parse_plan_all_keys_match_constructor():
     assert all(type(x) is float for x in (plan.eps, *plan.tau_list, *plan.lambda_list))
 
 
-# A plan with an unknown test signal ("custom") or a zero denominator fails
-# while parsing, before any cell runs.
+# A plan with an unknown test signal ("custom"), a zero denominator or a
+# key given twice fails while parsing, before any cell runs.
 @pytest.mark.parametrize(
     "key,value",
-    [("m_list", "2.5"), ("windows", "bogus"), ("test_fn", "custom"), ("tau_list", "1/0")],
+    [("m_list", "2.5"), ("windows", "bogus"), ("test_fn", "custom"), ("tau_list", "1/0"),
+     ("tau_list", "1/3\ntau_list = 1/4")],
 )
 def test_parse_plan_rejects_bad_values(key, value):
     with pytest.raises(ValueError):
         parse_plan(plan_block(**{key: value}))
+
+
+def test_parse_plan_repeated_key_is_named():
+    with pytest.raises(ValueError, match="plan key 'tau_list' given twice"):
+        parse_plan(plan_block(tau_list="1/3\ntau_list = 1/4"))
 
 
 def test_parse_plan_rejects_unknown_key():

@@ -417,6 +417,22 @@ def test_csv_rejects_gaps(tmp_path):
         load_samples(path, CFG)
 
 
+@pytest.mark.parametrize("row,why", [
+    ("1,2.0,3", "expected 2 fields 'index,value', got 3"),
+    ("1", "expected 2 fields 'index,value', got 1"),
+    ("1;2.0", "expected 2 fields 'index,value', got 1"),
+    ("1,abc", "could not convert string to float: 'abc'"),
+    ("1.5,2.0", "invalid literal for int"),
+])
+def test_csv_bad_row_names_file_and_line(tmp_path, row, why):
+    # Line 3 is blank and skipped; the bad row is line 4.
+    path = tmp_path / "rows.csv"
+    path.write_text(f"index,value\n0,1.0\n\n{row}\n2,2.0\n")
+    with pytest.raises(ValueError) as info:
+        load_samples(path, CFG)
+    assert str(info.value).startswith(f"{path}, line 4: {why}")
+
+
 def test_non_finite_samples_rejected(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("index,value\n0,1.0\n1,nan\n2,2.0\n")
