@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import specfun
-from .kernel import KernelEval, ft_psi, kernel_band_tail
+from .kernel import KernelEval, check_finite, ft_psi, kernel_band_tail
 from .reconstruct import kernel_blocks
 from .windows import SamplingConfig, WindowKind, WindowSpec, window_ft_at_zero
 
@@ -50,6 +50,7 @@ def eta(w: WindowSpec, cfg: SamplingConfig, v):
     E1.  Vectorized over v.
     """
     varr = np.atleast_1d(np.asarray(v, dtype=float))
+    check_finite("v", varr)
     if varr.size and np.max(np.abs(varr)) > cfg.delta * (1.0 + 1e-12):
         raise ValueError(f"eta is defined on |v| <= delta = {cfg.delta:g}")
     half = cfg.L / 2.0
@@ -72,7 +73,8 @@ def e1_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:
 
     Evenness halves the search to [0, delta]; a uniform grid locates the
     maximum (typically at v = delta) and three golden-section iterations
-    around the grid argmax guard against an interior peak.
+    around the grid argmax guard against an interior peak, each evaluating
+    its pair of points in one eta call.
     """
     grid = np.linspace(0.0, cfg.delta, _E1_GRID_POINTS)
     vals = np.abs(eta(w, cfg, grid))
@@ -83,8 +85,7 @@ def e1_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:
     for _ in range(3):
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc = abs(eta(w, cfg, c))
-        fd = abs(eta(w, cfg, d))
+        fc, fd = np.abs(eta(w, cfg, np.array([c, d]))).tolist()
         best = max(best, fc, fd)
         if fc > fd:
             b = d
@@ -94,7 +95,7 @@ def e1_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:
 
 
 def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig) -> float:
-    """Sharp regularization constant including the spectral image bands.
+    """3-band estimate of the regularization constant with image bands.
 
     The sampled spectrum is L-periodic, so the reconstruction error picks up
     the kernel transform over the image bands [jL-delta, jL+delta] as well
@@ -102,7 +103,9 @@ def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig) -> float:
     and genuinely under-covers the error when the transform's tail beyond
     L/2 rivals the in-band defect (B-spline and sinh windows at small tau).
     This variant adds sqrt(2*delta) * sum_j max over band j of the band
-    integral L*|psihat|, which provably dominates the measured error.
+    integral L*|psihat|, for the bands j = 1..3 only, each maximized on a
+    129-point grid.  It is an estimate, not a proven bound: the bands beyond
+    the third and any peak between grid points are left out.
     """
     L, delta, n = cfg.L, cfg.delta, _ALIAS_GRID_POINTS
     v = np.concatenate([np.linspace(j * L - delta, j * L + delta, n) for j in range(1, _ALIAS_BANDS + 1)])

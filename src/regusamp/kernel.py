@@ -37,6 +37,18 @@ class EpsilonOutOfRange(ValueError):
     """Tail-bound band enlargement eps outside the bound's validity range."""
 
 
+class NonFiniteInput(ValueError):
+    """A frequency, a target point or a sample value is NaN or infinite."""
+
+
+def check_finite(what: str, x) -> None:
+    """Raise NonFiniteInput unless every entry of ``x`` is finite."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteInput(f"{what} must be finite, got {float(x[~finite].ravel()[0])!r}")
+
+
 def sinc(x):
     """sin(x)/x with sinc(0) = 1.
 
@@ -161,10 +173,15 @@ def kernel_band_tail(w: WindowSpec, cfg: SamplingConfig, x):
              Every factor carries e^-beta, so nothing overflows for large beta.
 
     The bspline and sinh integrals are cumulative Gauss-Legendre sums
-    (specfun.gl_cumulative) over all end points at once.
+    (specfun.gl_cumulative) over all end points at once.  Their panel widths
+    meet its condition omega*max_width <= 13.95: (sin y/y)^{2s} is
+    bandlimited to omega = 2s (width 0.3), J1(z)/sqrt(beta^2+z^2) oscillates
+    at omega near 1 (width 0.5), and the I1 integrand varies on the scale
+    1/beta in f (width 0.05).
     """
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
+    check_finite("x", x)
     a = np.abs(x).ravel()
     L, m = cfg.L, cfg.m
     if w.kind is WindowKind.RECT:
@@ -202,6 +219,7 @@ def ft_psi(k: KernelEval, v):
     one kernel_band_tail call.  Evaluating at |v| keeps it exactly even.
     Vectorized over v."""
     scalar = np.ndim(v) == 0
+    check_finite("v", v)
     a = np.abs(np.asarray(v, dtype=float)).ravel()
     half = k.cfg.L / 2.0
     t = kernel_band_tail(k.window, k.cfg, np.concatenate([a - half, a + half]))

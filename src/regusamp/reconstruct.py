@@ -28,24 +28,13 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import KernelEval, psi, sinc
+# NonFiniteInput is re-exported: reconstruct.NonFiniteInput is the kernel class.
+from .kernel import KernelEval, NonFiniteInput, check_finite, psi, sinc
 from .windows import SamplingConfig, WindowSpec
 
 
 class IndexOutOfRange(IndexError):
     """The 2m-sample window around the target point is not covered."""
-
-
-class NonFiniteInput(ValueError):
-    """A target point or a sample value is NaN or infinite."""
-
-
-def check_finite(what: str, x) -> None:
-    """Raise NonFiniteInput unless every entry of ``x`` is finite."""
-    x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise NonFiniteInput(f"{what} must be finite, got {float(x[~finite].ravel()[0])!r}")
 
 
 class TestFunctionKind(str, Enum):

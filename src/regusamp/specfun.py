@@ -200,45 +200,87 @@ def integrate(f, a, b, q=Quadrature(), points=None):
     return IntegralResult(float(value), float(err))
 
 
-def gl_cumulative(f, nodes, max_width, order=15):
+def _gl_resolved_width(n: int) -> float:
+    """Largest omega*h at which the n-point Gauss-Legendre remainder on a
+    panel of width h stays below C*h*2^-53 for |f^(2n)| <= C*omega^(2n)."""
+    remainder = factorial(n) ** 4 / ((2 * n + 1) * factorial(2 * n) ** 3)
+    return (2.0**-53 / remainder) ** (1.0 / (2 * n))
+
+
+# Orders of the cumulative rule: wide panels, and panels narrower than
+# _NARROW_PANEL * max_width.
+_GL_WIDE, _GL_NARROW = 15, 5
+_NARROW_PANEL = _gl_resolved_width(_GL_NARROW) / _gl_resolved_width(_GL_WIDE)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gl_cumulative(f, nodes, max_width):
     """Cumulative integrals of ``f`` from nodes[0] to each node.
 
-    Fixed-order Gauss-Legendre panels between consecutive nodes, with wide
-    gaps subdivided to ``max_width`` so a panel never spans more than a
-    fraction of the integrand's oscillation scale.  ``nodes`` must be finite
-    and sorted ascending; ``f`` must be vectorized.  Returns an array aligned with
-    ``nodes``.  This is the bulk-evaluation companion of :func:`integrate`
-    for the error-constant grids, where thousands of cumulative values of
-    one smooth integrand are needed at once.
+    Gauss-Legendre panels between consecutive nodes, with gaps wider than
+    ``max_width`` split into uniform panels no wider than it.  ``nodes``
+    must be finite and sorted ascending; ``f`` must be vectorized.  Returns
+    an array aligned with ``nodes``.  This is the bulk-evaluation companion
+    of :func:`integrate` for the error-constant grids, where thousands of
+    cumulative values of one smooth integrand are needed at once.
+
+    The order follows the panel width.  The n-point remainder on a panel of
+    width h is h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * f^(2n)(xi).  For an
+    integrand with |f^(k)| <= C*omega^k (Bernstein's inequality gives this
+    for f bandlimited to omega) it is at most C*h*2^-53, rounding level,
+    while omega*h <= theta_n; theta_15 = 13.95 and theta_5 = 0.4415.  The
+    caller picks ``max_width`` so that the 15-point rule resolves a full
+    panel, omega*max_width <= theta_15.  A panel narrower than
+    max_width*theta_5/theta_15 (max_width/31.6) then has omega*h <= theta_5,
+    so 5 points meet the same bound; wider panels get 15.  The dense E1
+    grids give gaps of about max_width/1000.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:
         raise ValueError("nodes must be a 1-D array with at least one entry")
     if not np.all(np.isfinite(nodes)):
         raise ValueError("nodes must be finite")
-    if np.any(np.diff(nodes) < 0):
+    gap = np.diff(nodes)
+    if np.any(gap < 0):
         raise ValueError("nodes must be sorted ascending")
     if nodes.size == 1:
         return np.zeros(1)
-    xgl, wgl = np.polynomial.legendre.leggauss(order)
-    # Refined panel grid: gap i between nodes[i] and nodes[i+1] is split into
-    # nsub[i] uniform panels, whose points nodes[i] + gap*k/nsub for
-    # k = 1..nsub sit at grid positions ends[i]-nsub[i]+1 .. ends[i].  The
-    # last one is set to nodes[i+1] itself, so every original node lies
-    # exactly on the grid, at position ends[i].
-    gap = np.diff(nodes)
-    nsub = np.maximum(1, np.ceil(gap / max_width)).astype(np.int64)
-    ends = np.cumsum(nsub)
-    owner = np.repeat(np.arange(gap.size), nsub)
-    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - nsub, nsub)
-    grid = np.empty(ends[-1] + 1)
-    grid[0] = nodes[0]
-    grid[1:] = nodes[owner] + gap[owner] * k / nsub[owner]
-    grid[ends] = nodes[1:]
+    if gap.max() <= max_width:
+        grid, ends = nodes, None
+    else:
+        # Refined panel grid: gap i is split into nsub[i] uniform panels,
+        # whose points nodes[i] + gap*k/nsub for k = 1..nsub sit at grid
+        # positions ends[i]-nsub[i]+1 .. ends[i].  The last one is set to
+        # nodes[i+1] itself, so every node lies exactly on the grid, at
+        # position ends[i].
+        nsub = np.maximum(1, np.ceil(gap / max_width)).astype(np.int64)
+        ends = np.cumsum(nsub)
+        owner = np.repeat(np.arange(gap.size), nsub)
+        k = np.arange(1, ends[-1] + 1) - np.repeat(ends - nsub, nsub)
+        grid = np.empty(ends[-1] + 1)
+        grid[0] = nodes[0]
+        grid[1:] = nodes[owner] + gap[owner] * k / nsub[owner]
+        grid[ends] = nodes[1:]
     lo, hi = grid[:-1], grid[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    samples = f(mid[:, None] + half[:, None] * xgl[None, :])
-    panel = half * (samples @ wgl)
+    narrow = half < 0.5 * _NARROW_PANEL * max_width
+    panel = np.empty(half.size)
+    for n, sel in ((_GL_NARROW, narrow), (_GL_WIDE, ~narrow)):
+        if sel.all():
+            sel = slice(None)
+        elif not sel.any():
+            continue
+        x, w = _gauss_legendre(n)
+        h = half[sel]
+        panel[sel] = h * (f(mid[sel][:, None] + h[:, None] * x) @ w)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
-    return cum[np.concatenate([[0], ends])]
+    return cum if ends is None else cum[np.concatenate([[0], ends])]

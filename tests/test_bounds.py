@@ -324,6 +324,26 @@ def test_alias_aware_constant_dominates_across_windows():
             assert e1_alias_aware(w, cfg) > e1_numeric(w, cfg)
 
 
+def test_gauss_legendre_rules_built_once(monkeypatch):
+    from regusamp.bounds import e1_alias_aware
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    specfun._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    for kind in (WindowKind.BSPLINE, WindowKind.SINH):
+        cfg = SamplingConfig(128, 1.0, 1 / 20, 2)
+        w = default_params(kind, cfg)
+        e1_alias_aware(w, cfg)
+        e1_alias_aware(w, cfg)
+    assert calls and len(calls) == len(set(calls))
+
+
 # ---------------------------------------------------------------------------
 # Robustness bounds
 

@@ -14,6 +14,7 @@ from regusamp.kernel import (
     ft_psi,
     ft_psi_quadrature,
     ft_window,
+    kernel_band_tail,
     psi,
     sinc,
     tail_bound,
@@ -254,6 +255,42 @@ def test_band_quantities_against_mpmath(kind, case_one):
         want_eta = np.array([float(1 - _band_mp(mp, k.window, CFG, v)) for v in band_v])
     assert np.max(np.abs(ft_psi(k, np.array(freqs)) - want_psi)) <= 1e-13 / L
     assert np.max(np.abs(eta(k.window, CFG, np.array(band_v)) - want_eta)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [WindowKind.BSPLINE, WindowKind.SINH])
+@pytest.mark.parametrize("m", [2, 10])
+def test_eta_on_dense_e1_grid_against_mpmath(kind, m):
+    # The E1 grid spaces its nodes about max_width/1000 apart, so every
+    # panel of the band tail takes the narrow-panel rule.  Check eta on the
+    # whole grid at both ends and three interior indices.
+    mp = pytest.importorskip("mpmath")
+    from regusamp.bounds import _E1_GRID_POINTS, eta
+
+    cfg = SamplingConfig(128, 1.0, 1 / 20, m)
+    w = default_params(kind, cfg)
+    grid = np.linspace(0.0, cfg.delta, _E1_GRID_POINTS)
+    got = eta(w, cfg, grid)
+    idx = [0, 1, _E1_GRID_POINTS // 2, _E1_GRID_POINTS - 2, _E1_GRID_POINTS - 1]
+    with mp.workdps(20):
+        want = np.array([float(1 - _band_mp(mp, w, cfg, grid[i])) for i in idx])
+    # The band tolerance 1e-13, made relative where eta itself is that small
+    # (sinh at m = 10 peaks at 1.3e-13); the reference holds about 1e-20.
+    assert np.max(np.abs(got[idx] - want)) <= min(1e-13, 1e-6 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", list(WindowKind))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_band_quantities_reject_non_finite(kind, bad):
+    from regusamp.bounds import eta
+    from regusamp.reconstruct import NonFiniteInput  # the kernel class, re-exported
+
+    k = kernel_for(kind)
+    with pytest.raises(NonFiniteInput, match="x must be finite"):
+        kernel_band_tail(k.window, CFG, np.array([0.0, bad]))
+    with pytest.raises(NonFiniteInput, match="v must be finite"):
+        ft_psi(k, bad)
+    with pytest.raises(NonFiniteInput, match="v must be finite"):
+        eta(k.window, CFG, [0.0, bad])
 
 
 # ---------------------------------------------------------------------------

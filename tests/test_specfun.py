@@ -382,6 +382,18 @@ def test_quadrature_validation():
         Quadrature(max_subdivisions=0)
 
 
+def test_gl_cumulative_dense_nodes_match_adaptive():
+    # Gaps of max_width/1000 take the narrow-panel rule throughout; a few
+    # wide gaps at the end take the wide one.
+    f = lambda z: np.cos(5.0 * z) / (1.0 + z * z)
+    nodes = np.concatenate([np.linspace(0.0, 1.0, 3001), [2.5, 4.0]])
+    cum = specfun.gl_cumulative(f, nodes, max_width=0.3)
+    for i in (1, 1500, 3000, 3001, 3002):
+        want = integrate(lambda t: math.cos(5.0 * t) / (1.0 + t * t), 0.0, float(nodes[i]),
+                         Quadrature(abs_tol=1e-14, rel_tol=1e-14))
+        assert abs(cum[i] - want.value) <= 1e-14
+
+
 def test_gl_cumulative_matches_adaptive():
     f = lambda z: np.sin(3.0 * z) * np.exp(-0.1 * z)
     nodes = np.array([0.0, 0.7, 2.2, 2.2, 9.5])
