@@ -19,7 +19,6 @@ from regusamp import (
     tail_bound,
 )
 from regusamp.kernel import ft_psi_quadrature
-from regusamp.windows import window_ft_at_zero
 
 cfg = SamplingConfig(N=128, lam=1.0, tau=1 / 3, m=5)
 print(f"configuration: N={cfg.N}, lambda={cfg.lam}, tau={cfg.tau:.4f}")
@@ -30,7 +29,7 @@ print("window parameters chosen by the error analysis:")
 for kind in WindowKind:
     w = default_params(kind, cfg)
     param = w.sigma or w.s or w.beta
-    print(f"  {kind.value:8s} shape={param!r:24s} phihat(0)={window_ft_at_zero(w, cfg):.6e}")
+    print(f"  {kind.value:8s} shape={param!r:24s} phihat(0)={ft_window(w, cfg, 0.0):.6e}")
 
 print("\nkernel values on the first few grid offsets (interpolation zeros):")
 offsets = np.arange(0, 4)

@@ -21,7 +21,6 @@ from .reconstruct import (
 )
 from .bounds import (
     BoundReport,
-    SinhCase,
     bspline_bound,
     compute_report,
     e1_alias_aware,
@@ -55,7 +54,6 @@ __all__ = [
     "reconstruct_grid",
     "sample",
     "BoundReport",
-    "SinhCase",
     "bspline_bound",
     "compute_report",
     "e1_alias_aware",

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import specfun
-from .kernel import KernelEval, check_finite, ft_psi, kernel_band_tail
+from .kernel import KernelEval, check_finite, ft_psi, ft_window, kernel_band_tail
 from .reconstruct import kernel_blocks
-from .windows import SamplingConfig, WindowKind, WindowSpec, window_ft_at_zero
+from .windows import SamplingConfig, WindowKind, WindowSpec
 
 
 class ConditionViolated(ValueError):
@@ -194,25 +193,21 @@ def bspline_bound(cfg: SamplingConfig) -> float:
     return 3.0 * math.sqrt(cfg.delta * s) / ((2 * s - 1) * math.pi) * math.exp(-m * rate)
 
 
-class SinhCase(Enum):
-    ONE = 1
-    TWO = 2
+def sinh_bound(cfg: SamplingConfig, case_one: bool = False) -> float:
+    """Exponential uniform-error constant of the sinh window, for the beta
+    that default_params(SINH, cfg, case_one) picks.
 
-
-def sinh_bound(cfg: SamplingConfig, case: SinhCase = SinhCase.TWO) -> float:
-    """Exponential uniform-error constant of the sinh window.
-
-    Case TWO (the default shape beta = pi*m*(1+lam-2*tau)/(1+lam)):
+    Default (beta = pi*m*(1+lam-2*tau)/(1+lam)):
         3*sqrt(2*delta)*exp(-beta).
-    Case ONE (beta = pi*m*(1+lam+2*tau)/(1+lam), kept for comparison):
+    case_one (beta = pi*m*(1+lam+2*tau)/(1+lam), kept for comparison):
         sqrt(beta*pi*delta) / ((1-2e^-beta)*(1-w0^2)^(1/4))
           * exp(-beta*(1-sqrt(1-w0^2)))
         + 2*sqrt(2*delta)/(1-e^-2beta) * exp(-beta),
-    with w0 = (1+lam-2*tau)/(1+lam+2*tau).  Case TWO decays strictly
-    faster, which is why it is the default everywhere.
+    with w0 = (1+lam-2*tau)/(1+lam+2*tau).  The default decays strictly
+    faster, which is why it is used everywhere.
     """
     lam, tau, m, delta = cfg.lam, cfg.tau, cfg.m, cfg.delta
-    if case is SinhCase.TWO:
+    if not case_one:
         beta = math.pi * m * (1.0 + lam - 2.0 * tau) / (1.0 + lam)
         return 3.0 * math.sqrt(2.0 * delta) * math.exp(-beta)
     beta = math.pi * m * (1.0 + lam + 2.0 * tau) / (1.0 + lam)
@@ -226,17 +221,21 @@ def sinh_bound(cfg: SamplingConfig, case: SinhCase = SinhCase.TWO) -> float:
     return first + second
 
 
-def closed_form_bound(kind, cfg: SamplingConfig) -> float:
+_CLOSED_FORMS = {
+    WindowKind.RECT: rect_bound,
+    WindowKind.GAUSS: gauss_bound,
+    WindowKind.BSPLINE: bspline_bound,
+    WindowKind.SINH: sinh_bound,
+}
+
+
+def closed_form_bound(kind, cfg: SamplingConfig) -> float | None:
     """The per-family uniform-error constant for the default shape
-    parameters; raises ConditionViolated for an inapplicable B-spline cell."""
+    parameters; None for a B-spline cell that fails bspline_condition_ok."""
     kind = WindowKind(kind)
-    if kind is WindowKind.RECT:
-        return rect_bound(cfg)
-    if kind is WindowKind.GAUSS:
-        return gauss_bound(cfg)
-    if kind is WindowKind.BSPLINE:
-        return bspline_bound(cfg)
-    return sinh_bound(cfg)
+    if kind is WindowKind.BSPLINE and not bspline_condition_ok(cfg):
+        return None
+    return _CLOSED_FORMS[kind](cfg)
 
 
 @dataclass(frozen=True)
@@ -251,6 +250,11 @@ class RobustnessBound:
     generic: float
     specialized: float | None
 
+    @property
+    def value(self) -> float:
+        """The bound a run is held to: specialized where it exists, else generic."""
+        return self.generic if self.specialized is None else self.specialized
+
 
 def robustness_bound(w: WindowSpec, cfg: SamplingConfig, eps: float) -> RobustnessBound:
     """Bounds on the uniform reconstruction perturbation under sample noise
@@ -263,9 +267,9 @@ def robustness_bound(w: WindowSpec, cfg: SamplingConfig, eps: float) -> Robustne
         sinh:    eps * (2 + sqrt((2+2*lam)/(1+lam-2*tau))
                             / (1 - e^{-2*beta}) * sqrt(m))
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps!r}")
-    generic = eps * (2.0 + cfg.L * window_ft_at_zero(w, cfg))
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    generic = eps * (2.0 + cfg.L * ft_window(w, cfg, 0.0))
     m, lam, tau = cfg.m, cfg.lam, cfg.tau
     if w.kind is WindowKind.GAUSS:
         special = eps * (2.0 + math.sqrt((2.0 + 2.0 * lam) / (lam + 1.0 - 2.0 * tau)) * math.sqrt(m))
@@ -299,7 +303,7 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
     if t.size == 0:
         raise ValueError("need at least one target")
     worst = 0.0
-    for _, (_, weights) in kernel_blocks(cfg, w, t):
+    for _, (_, weights) in kernel_blocks(w, cfg, t):
         worst = max(worst, float(np.max(np.sum(np.abs(weights), axis=1))))
     return worst
 
@@ -320,12 +324,7 @@ class BoundReport:
 def compute_report(w: WindowSpec, cfg: SamplingConfig, eps: float = 1e-3) -> BoundReport:
     """Evaluate E1, E2, the closed-form constant (None when inapplicable)
     and the robustness bound (specialized where it exists, else generic)."""
+    robust = robustness_bound(w, cfg, eps).value
     e1 = e1_numeric(w, cfg)
-    e2 = e2_numeric(w, cfg)
-    try:
-        closed = closed_form_bound(w.kind, cfg)
-    except ConditionViolated:
-        closed = None
-    rb = robustness_bound(w, cfg, eps)
-    robust = rb.specialized if rb.specialized is not None else rb.generic
-    return BoundReport(w, cfg, e1, e2, closed, robust, e1 / math.sqrt(2.0 * cfg.delta))
+    closed = closed_form_bound(w.kind, cfg)
+    return BoundReport(w, cfg, e1, e2_numeric(w, cfg), closed, robust, e1 / math.sqrt(2.0 * cfg.delta))

@@ -21,12 +21,13 @@ import functools
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, specfun
-from .kernel import KernelEval, ft_psi, ft_psi_quadrature, sinc
+from .kernel import KernelEval, check_finite, ft_psi, ft_psi_quadrature, sinc
 from .reconstruct import (
     IndexOutOfRange,
     TestFunction,
@@ -126,6 +127,7 @@ def _cmd_reconstruct(args) -> int:
         if count < 1:
             print(f"--grid count must be >= 1, got {count}", file=sys.stderr)
             return EXIT_USAGE
+        check_finite("targets", [a, b])
         points = np.linspace(a, b, count)
     try:
         values = reconstruct_grid(ss, w, points)
@@ -156,20 +158,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seed_env = os.environ.get("REGUSAMP_SEED")
-    seed = int(seed_env) if seed_env else None
     try:
-        if args.preset:
-            plans = harness.load_preset(args.preset, seed=seed)
-        else:
-            plans = harness.load_plans(args.plan)
-            if seed is not None:
-                from dataclasses import replace
-
-                plans = [replace(p, seed=seed) for p in plans]
+        plans = harness.load_preset(args.preset) if args.preset else harness.load_plans(args.plan)
     except OSError as exc:
         print(f"cannot read plan: {exc}", file=sys.stderr)
         return EXIT_IO
+    seed = os.environ.get("REGUSAMP_SEED")
+    if seed:
+        plans = [replace(p, seed=int(seed)) for p in plans]
     try:
         rows = [row for plan in plans for row in harness.run_plan(plan, jobs=max(1, args.jobs))]
     except harness.BoundViolation as exc:

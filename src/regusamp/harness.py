@@ -23,14 +23,14 @@ worker, so ``jobs`` > 1 changes the scheduling only, never a row.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .bounds import ConditionViolated, closed_form_bound, robustness_bound
+from .bounds import closed_form_bound, robustness_bound
 from .reconstruct import TestFunction, TestFunctionKind, _draw_noise, noise_response_max, reconstruct_grid, sample
 from .windows import SamplingConfig, WindowKind, default_params
 
@@ -43,9 +43,10 @@ class BoundViolation(RuntimeError):
 class ExperimentPlan:
     """One grid of experiment cells plus evaluation settings.
 
-    ``eps`` = 0 requests clean approximation-error runs; ``eps`` > 0
-    requests perturbation runs with ``trials`` seeded noise draws per cell.
-    ``S`` equidistant evaluation points cover [-1, 1] inclusive.
+    ``eps`` = 0 requests clean approximation-error runs; a finite ``eps`` > 0
+    requests perturbation runs with ``trials`` seeded noise draws per cell,
+    drawn from streams of the ``seed`` >= 0.  ``S`` equidistant evaluation
+    points cover [-1, 1] inclusive.
     """
 
     test_fn: TestFunctionKind
@@ -71,8 +72,10 @@ class ExperimentPlan:
             raise ValueError("m_list must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         for tau in self.tau_list:
             for lam in self.lambda_list:
                 for m in self.m_list:
@@ -114,17 +117,14 @@ def _approx_cell(plan: ExperimentPlan, cell) -> ErrorRow:
     t = _eval_grid(plan.S)
     rec = reconstruct_grid(ss, w, t)
     measured = float(np.max(np.abs(f(t) - rec)))
-    try:
-        bound = closed_form_bound(kind, cfg) * f.l2_norm
-        valid = True
-    except ConditionViolated:
-        bound, valid = None, False
-    if valid and measured > bound:
+    closed = closed_form_bound(kind, cfg)
+    bound = None if closed is None else closed * f.l2_norm
+    if bound is not None and measured > bound:
         raise BoundViolation(
             f"approximation error {measured:.6e} exceeds bound {bound:.6e} at "
             f"window={kind.value}, m={m}, tau={tau:g}, lam={lam:g}"
         )
-    return ErrorRow(kind, m, tau, lam, measured, bound, valid)
+    return ErrorRow(kind, m, tau, lam, measured, bound, bound is not None)
 
 
 # Noise values held at once by a perturbation cell: its trials are drawn as
@@ -154,9 +154,8 @@ def _perturb_cell(plan: ExperimentPlan, cell, cell_index: int) -> ErrorRow:
     for first in range(0, plan.trials, per_block):
         noise = _trial_noise(plan, cell_index, n, range(first, min(first + per_block, plan.trials)))
         # R(f~) - R(f) is linear in the perturbation, so reconstruct it alone.
-        measured = max(measured, noise_response_max(cfg, w, t, lo, noise))
-    rb = robustness_bound(w, cfg, plan.eps)
-    bound = rb.specialized if rb.specialized is not None else rb.generic
+        measured = max(measured, noise_response_max(w, cfg, t, lo, noise))
+    bound = robustness_bound(w, cfg, plan.eps).value
     if measured > bound:
         raise BoundViolation(
             f"perturbation error {measured:.6e} exceeds bound {bound:.6e} at "
@@ -293,15 +292,9 @@ def load_plans(path) -> list[ExperimentPlan]:
 PRESETS = ("fig2", "fig5", "fig6", "fig8", "fig9", "fig10")
 
 
-def load_preset(name: str, seed: int | None = None, S: int | None = None) -> list[ExperimentPlan]:
-    """The checked-in preset plans, optionally overriding the seed (e.g. from
-    the REGUSAMP_SEED environment variable) or the evaluation-point count."""
+def load_preset(name: str) -> list[ExperimentPlan]:
+    """The checked-in plans of a preset, as its file states them."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
     with resources.as_file(resources.files("regusamp").joinpath("presets", f"{name}.plan")) as p:
-        plans = load_plans(p)
-    if seed is not None:
-        plans = [replace(p, seed=seed) for p in plans]
-    if S is not None:
-        plans = [replace(p, S=S) for p in plans]
-    return plans
+        return load_plans(p)

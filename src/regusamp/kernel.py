@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .specfun import Quadrature
 from .windows import SamplingConfig, WindowKind, WindowSpec, bspline_center_value, eval_truncated, eval_window
 
 
@@ -193,7 +192,7 @@ def kernel_band_tail(w: WindowSpec, cfg: SamplingConfig, x):
     elif w.kind is WindowKind.BSPLINE:
         s = w.s
         half = math.pi * bspline_center_value(s) / 2.0
-        t = _tail(lambda y: np.sinc(y / math.pi) ** (2 * s), math.pi * m * a / (s * L), half, 0.3) / (2.0 * half)
+        t = _tail(lambda y: sinc(y) ** (2 * s), math.pi * m * a / (s * L), half, 0.3) / (2.0 * half)
     else:
         beta = w.beta
         W = 2.0 * math.pi * m * a / L
@@ -227,8 +226,9 @@ def ft_psi(k: KernelEval, v):
     return float(out) if scalar else out
 
 
-def ft_psi_quadrature(k: KernelEval, v, q: Quadrature = Quadrature(abs_tol=1e-11, rel_tol=1e-11)):
-    """Direct quadrature reference for psihat: 2*int_0^R psi(x)*cos(2*pi*v*x) dx.
+def ft_psi_quadrature(k: KernelEval, v):
+    """Direct quadrature reference for psihat: 2*int_0^R psi(x)*cos(2*pi*v*x) dx,
+    to 1e-11 absolute and relative tolerance.
 
     For the Gaussian the untruncated product sinc * phi is integrated (that
     is what the closed form describes) with the support cut at
@@ -248,6 +248,7 @@ def ft_psi_quadrature(k: KernelEval, v, q: Quadrature = Quadrature(abs_tol=1e-11
         def integrand(x, vv):
             return float(psi(k, x)) * math.cos(2.0 * math.pi * vv * x)
 
+    q = specfun.Quadrature(abs_tol=1e-11, rel_tol=1e-11)
     out = np.array([
         2.0 * specfun.integrate(lambda x: integrand(x, vv), 0.0, R, q).value
         for vv in varr

@@ -28,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-# NonFiniteInput is re-exported: reconstruct.NonFiniteInput is the kernel class.
-from .kernel import KernelEval, NonFiniteInput, check_finite, psi, sinc
+from .kernel import KernelEval, check_finite, psi, sinc
 from .windows import SamplingConfig, WindowSpec
 
 
@@ -164,7 +163,7 @@ def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float) -> float:
 KERNEL_BLOCK = 2048
 
 
-def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
+def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     """Per-point sample indices and kernel weights for a batch of targets.
 
     Returns (idx, weights): for row i the reconstruction is
@@ -196,7 +195,7 @@ def kernel_matrix(cfg: SamplingConfig, w: WindowSpec, t):
     return idx, weights
 
 
-def kernel_blocks(cfg: SamplingConfig, w: WindowSpec, t):
+def kernel_blocks(w: WindowSpec, cfg: SamplingConfig, t):
     """kernel_matrix over consecutive blocks of KERNEL_BLOCK targets.
 
     Yields (rows, (idx, weights)), where ``rows`` is the slice of
@@ -209,7 +208,7 @@ def kernel_blocks(cfg: SamplingConfig, w: WindowSpec, t):
         raise ValueError("t must be one-dimensional")
     for start in range(0, t.size, KERNEL_BLOCK):
         rows = slice(start, start + KERNEL_BLOCK)
-        yield rows, kernel_matrix(cfg, w, t[rows])
+        yield rows, kernel_matrix(w, cfg, t[rows])
 
 
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
@@ -223,7 +222,7 @@ def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
-    for rows, (idx, weights) in kernel_blocks(ss.cfg, w, t):
+    for rows, (idx, weights) in kernel_blocks(w, ss.cfg, t):
         try:
             values = ss.take(idx)
         except IndexOutOfRange:
@@ -244,7 +243,7 @@ def _uncovered(ss: SampleSet, t, idx) -> IndexOutOfRange:
     )
 
 
-def noise_response_max(cfg: SamplingConfig, w: WindowSpec, t, index_lo: int, noise) -> float:
+def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noise) -> float:
     """max over targets t and rows r of |R(noise[r])(t)|.
 
     ``noise`` is a (trials, n) matrix whose row r perturbs the samples
@@ -263,7 +262,7 @@ def noise_response_max(cfg: SamplingConfig, w: WindowSpec, t, index_lo: int, noi
     m2 = 2 * cfg.m
     n = noise.shape[1]
     worst = 0.0
-    for _, (idx, weights) in kernel_blocks(cfg, w, t):
+    for _, (idx, weights) in kernel_blocks(w, cfg, t):
         start = idx[:, cfg.m - 1] - (cfg.m - 1) - index_lo
         lo, hi = int(start.min()), int(start.max()) + m2 - 1
         if lo < 0 or hi >= n:

@@ -129,14 +129,14 @@ class WindowSpec:
             raise InvalidConfig(
                 f"{kind.value} window needs exactly the parameter {required!r}, got {present}"
             )
-        if required == "sigma" and not self.sigma > 0:
-            raise InvalidConfig(f"sigma must be > 0, got {self.sigma!r}")
+        if required == "sigma" and not 0 < self.sigma < math.inf:
+            raise InvalidConfig(f"sigma must be finite and > 0, got {self.sigma!r}")
         if required == "s":
             if not (self.s >= 2 and float(self.s).is_integer()):
                 raise InvalidConfig(f"s must be an integer >= 2, got {self.s!r}")
             object.__setattr__(self, "s", int(self.s))
-        if required == "beta" and not self.beta > 0:
-            raise InvalidConfig(f"beta must be > 0, got {self.beta!r}")
+        if required == "beta" and not 0 < self.beta < math.inf:
+            raise InvalidConfig(f"beta must be finite and > 0, got {self.beta!r}")
 
 
 def default_params(kind, cfg: SamplingConfig, case_one: bool = False) -> WindowSpec:
@@ -231,20 +231,3 @@ def eval_truncated(w: WindowSpec, cfg: SamplingConfig, x):
         out[~(np.abs(x) <= cfg.m / cfg.L)] = 0.0  # as np.where: NaN maps to 0
     return out if out.ndim else float(out)
 
-
-def window_ft_at_zero(w: WindowSpec, cfg: SamplingConfig) -> float:
-    """phihat(0) = integral of phi over R, in closed form.
-
-    rect: 2m/L; gauss: sqrt(2*pi)*sigma; bspline: m/(s*L*M_{2s}(0));
-    sinh: pi*m*I1(beta)/(L*sinh(beta)), evaluated through the scaled Bessel
-    function so large beta cannot overflow.
-    """
-    if w.kind is WindowKind.RECT:
-        return 2.0 * cfg.m / cfg.L
-    if w.kind is WindowKind.GAUSS:
-        return math.sqrt(2.0 * math.pi) * w.sigma
-    if w.kind is WindowKind.BSPLINE:
-        return cfg.m / (w.s * cfg.L * bspline_center_value(w.s))
-    # I1(beta)/sinh(beta) = 2*i1e(beta)/(1 - exp(-2*beta))
-    ratio = 2.0 * specfun.bessel_i1_scaled(w.beta) / (-math.expm1(-2.0 * w.beta))
-    return math.pi * cfg.m * ratio / cfg.L

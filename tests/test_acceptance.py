@@ -57,7 +57,7 @@ def _measured_approx(cfg: SamplingConfig, kind: WindowKind, fn_kind: TestFunctio
     f = TestFunction(fn_kind, delta=cfg.delta)
     ss = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
     t = np.linspace(-1.0, 1.0, S_POINTS)
-    idx, weights = kernel_matrix(cfg, w, t)
+    idx, weights = kernel_matrix(w, cfg, t)
     rec = np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
     return float(np.max(np.abs(np.asarray(f(t)) - rec)))
 
@@ -132,10 +132,7 @@ def test_criterion_4_bound_dominance_approximation():
                 e_sum = e1_numeric(w, cfg) + e2_numeric(w, cfg)
                 if measured > e_sum:
                     e12_failures.append((kind.value, m, round(tau, 4), lam, measured, e_sum))
-                try:
-                    closed = closed_form_bound(kind, cfg)
-                except ConditionViolated:
-                    closed = None
+                closed = closed_form_bound(kind, cfg)
                 if closed is not None and measured > closed:
                     closed_failures.append((kind.value, m, round(tau, 4), lam, measured, closed))
                 cells += 1
@@ -171,7 +168,7 @@ def test_criterion_5_bound_dominance_noise():
                 w = default_params(kind, cfg)
                 lo, hi = -cfg.L - m, cfg.L + m
                 t = np.linspace(-1.0, 1.0, S_POINTS)
-                idx, weights = kernel_matrix(cfg, w, t)
+                idx, weights = kernel_matrix(w, cfg, t)
                 flat = idx - lo
                 measured = 0.0
                 for trial in range(TRIALS):

@@ -73,7 +73,7 @@ def ref_truncated(w, cfg, x):
     return out
 
 
-def ref_kernel_matrix(cfg, w, t):
+def ref_kernel_matrix(w, cfg, t):
     L, m = cfg.L, cfg.m
     Lt = L * t
     k = np.floor(Lt)
@@ -160,14 +160,14 @@ def test_kernel_matrix_bits(cfg, kind):
     t = rng.uniform(-1.0, 1.0, KERNEL_BLOCK + 9)
     t[::5] = rng.integers(-cfg.L, cfg.L, t[::5].size) / cfg.L
     t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 3] = [17 / cfg.L, 0.123456789, -0.0, 0.0]
-    want_idx, want_w = ref_kernel_matrix(cfg, w, t)
-    idx, weights = kernel_matrix(cfg, w, t)
+    want_idx, want_w = ref_kernel_matrix(w, cfg, t)
+    idx, weights = kernel_matrix(w, cfg, t)
     assert np.array_equal(idx, want_idx) and idx.dtype == want_idx.dtype
     assert_same_bits(weights, want_w)
-    blocks = list(kernel_blocks(cfg, w, t))
+    blocks = list(kernel_blocks(w, cfg, t))
     assert len(blocks) == 2
     assert np.array_equal(np.concatenate([b[1][0] for b in blocks]), want_idx)
     assert_same_bits(np.concatenate([b[1][1] for b in blocks]), want_w)
-    one_idx, one_w = kernel_matrix(cfg, w, t[KERNEL_BLOCK:KERNEL_BLOCK + 1])
+    one_idx, one_w = kernel_matrix(w, cfg, t[KERNEL_BLOCK:KERNEL_BLOCK + 1])
     assert np.array_equal(one_idx, want_idx[KERNEL_BLOCK:KERNEL_BLOCK + 1])
     assert_same_bits(one_w, want_w[KERNEL_BLOCK:KERNEL_BLOCK + 1])

@@ -365,6 +365,38 @@ def test_experiment_repeated_plan_key_exit_2(tmp_path):
     assert "'tau_list' given twice" in proc.stderr
 
 
+@pytest.mark.parametrize("window,flag,value,message", [
+    ("sinh", "--eps", "nan", "eps must be finite and > 0, got nan"),
+    ("sinh", "--eps", "inf", "eps must be finite and > 0, got inf"),
+    ("gauss", "--sigma", "inf", "sigma must be finite and > 0, got inf"),
+    ("sinh", "--beta", "inf", "beta must be finite and > 0, got inf"),
+    ("sinh", "--beta", "nan", "beta must be finite and > 0, got nan"),
+])
+def test_bounds_non_finite_value_exit_2(window, flag, value, message):
+    proc = run_cli("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3",
+                   "--window", window, "--m", "2", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("change,env,message", [
+    (("eps = 0", "eps = nan"), {}, "eps must be finite and >= 0, got nan"),
+    (("eps = 0", "eps = inf"), {}, "eps must be finite and >= 0, got inf"),
+    (("seed = 9", "seed = -1"), {}, "seed must be >= 0, got -1"),
+    (("", ""), {"REGUSAMP_SEED": "-1"}, "seed must be >= 0, got -1"),
+], ids=["plan-eps-nan", "plan-eps-inf", "plan-seed-negative", "env-seed-negative"])
+def test_experiment_bad_noise_or_seed_exit_2(tmp_path, change, env, message):
+    # Rejected before any cell runs: no row, no CSV.
+    plan = tmp_path / "bad.plan"
+    plan.write_text(PLAN_TEXT.replace(*change))
+    out = tmp_path / "o.csv"
+    proc = run_cli("experiment", "--plan", str(plan), "--out", str(out), env_extra=env)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert message in proc.stderr
+
+
 def test_bounds_eps_accepts_fraction():
     args = ("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3", "--window", "sinh", "--m", "2,5")
     frac = run_cli(*args, "--eps", "1/1000")

@@ -129,7 +129,7 @@ def per_trial_reference(plan, cell_index):
     cfg = SamplingConfig(plan.N, lam, tau, m)
     w = default_params(kind, cfg)
     lo, hi = -cfg.L - m, cfg.L + m
-    idx, weights = kernel_matrix(cfg, w, np.linspace(-1.0, 1.0, plan.S))
+    idx, weights = kernel_matrix(w, cfg, np.linspace(-1.0, 1.0, plan.S))
     measured = 0.0
     for trial in range(plan.trials):
         seed = np.random.SeedSequence((plan.seed, cell_index, trial))
@@ -170,7 +170,7 @@ def test_trial_maximum_below_exact_amplification_below_bounds(preset):
     # Deterministic invariant of every fourth cell at reduced S: the noise
     # trials cannot beat the exact worst case eps * max Lambda on the same
     # targets, and both proven robustness bounds must dominate that.
-    for plan in load_preset(preset, S=2001):
+    for plan in (dataclasses.replace(p, S=2001) for p in load_preset(preset)):
         t = np.linspace(-1.0, 1.0, plan.S)
         cells = plan.cells()
         for i in range(0, len(cells), 4):
@@ -196,7 +196,7 @@ def test_smaller_tau_and_larger_lambda_improve_gauss():
 
 
 def test_comparison_preset_row_layout():
-    plans = load_preset("fig10", S=201)
+    plans = [dataclasses.replace(p, S=201) for p in load_preset("fig10")]
     rows = run_plan(plans[0])
     assert len(rows) == 81  # 3 windows x 3 lambdas x 9 m-values
     for lam in (0.5, 1.0, 2.0):
@@ -290,12 +290,13 @@ def test_parse_plan_all_keys_match_constructor():
     assert all(type(x) is float for x in (plan.eps, *plan.tau_list, *plan.lambda_list))
 
 
-# A plan with an unknown test signal ("custom"), a zero denominator or a
-# key given twice fails while parsing, before any cell runs.
+# A plan with an unknown test signal ("custom"), a zero denominator, a key
+# given twice, a non-finite noise level or a negative seed fails while
+# parsing, before any cell runs.
 @pytest.mark.parametrize(
     "key,value",
     [("m_list", "2.5"), ("windows", "bogus"), ("test_fn", "custom"), ("tau_list", "1/0"),
-     ("tau_list", "1/3\ntau_list = 1/4")],
+     ("tau_list", "1/3\ntau_list = 1/4"), ("eps", "nan"), ("eps", "inf"), ("seed", "-1")],
 )
 def test_parse_plan_rejects_bad_values(key, value):
     with pytest.raises(ValueError):
@@ -332,8 +333,8 @@ def test_load_plans_multiblock(tmp_path):
 
 def test_presets_all_parse():
     for name in PRESETS:
-        plans = load_preset(name, seed=3, S=101)
-        assert plans and all(p.seed == 3 and p.S == 101 for p in plans)
+        plans = load_preset(name)
+        assert plans and all(p.seed == 1 and p.S == 100_000 for p in plans)
     fig2 = load_preset("fig2")
     assert len(fig2) == 2
     assert fig2[0].windows == (WindowKind.GAUSS,)

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from regusamp.kernel import KernelEval, psi
+from regusamp.kernel import KernelEval, NonFiniteInput, ft_window, psi
 from regusamp.reconstruct import (
     KERNEL_BLOCK,
     IndexOutOfRange,
-    NonFiniteInput,
     SampleSet,
     TestFunction,
     TestFunctionKind,
@@ -24,7 +23,7 @@ from regusamp.reconstruct import (
     sample,
     save_samples,
 )
-from regusamp.windows import SamplingConfig, WindowKind, WindowSpec, default_params, window_ft_at_zero
+from regusamp.windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 F = TestFunction(TestFunctionKind.SINC_BAND, delta=CFG.delta)
@@ -197,7 +196,7 @@ def test_noise_propagation_bound():
     t = np.linspace(-1.0, 1.0, 201)
     for kind in WindowKind:
         w = default_params(kind, CFG)
-        cap = eps * (2.0 + CFG.L * window_ft_at_zero(w, CFG))
+        cap = eps * (2.0 + CFG.L * ft_window(w, CFG, 0.0))
         clean = reconstruct_grid(ss, w, t)
         for seed in range(100):
             noisy = perturb(ss, eps, seed=seed)
@@ -234,12 +233,12 @@ def test_non_finite_targets_rejected(bad):
     with pytest.raises(NonFiniteInput):
         reconstruct_grid(ss, w, np.array([0.1, bad]))
     with pytest.raises(NonFiniteInput):
-        kernel_matrix(CFG, w, np.array([bad]))
+        kernel_matrix(w, CFG, np.array([bad]))
 
 
 def test_kernel_matrix_shapes():
     m = CFG.m
-    idx, weights = kernel_matrix(CFG, default_params(WindowKind.SINH, CFG), np.array([0.3, 1.0, -0.5]))
+    idx, weights = kernel_matrix(default_params(WindowKind.SINH, CFG), CFG, np.array([0.3, 1.0, -0.5]))
     assert idx.shape == weights.shape == (3, 2 * m)
     k = int(np.floor(CFG.L * 0.3))
     assert np.array_equal(idx[0], np.arange(k - m + 1, k + m + 1))
@@ -259,22 +258,22 @@ def test_kernel_matrix_column_m_minus_1_is_window_start(kind):
     t = np.concatenate([rng.uniform(-1.0, 1.0, 500), np.arange(-CFG.L, CFG.L + 1) / CFG.L])
     rng.shuffle(t)
     m = CFG.m
-    idx, _ = kernel_matrix(CFG, default_params(kind, CFG), t)
+    idx, _ = kernel_matrix(default_params(kind, CFG), CFG, t)
     assert np.array_equal(idx[:, m - 1] - (m - 1), np.floor(CFG.L * t).astype(np.int64) - m + 1)
 
 
 def whole_array_grid(ss, w, t):
     """One kernel_matrix over all targets, reduced with one einsum."""
-    idx, weights = kernel_matrix(ss.cfg, w, t)
+    idx, weights = kernel_matrix(w, ss.cfg, t)
     return np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
 
 
 def test_kernel_blocks_tile_the_targets():
     t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
-    blocks = list(kernel_blocks(CFG, default_params(WindowKind.GAUSS, CFG), t))
+    blocks = list(kernel_blocks(default_params(WindowKind.GAUSS, CFG), CFG, t))
     assert [(rows.start, len(idx)) for rows, (idx, _) in blocks] == [
         (0, KERNEL_BLOCK), (KERNEL_BLOCK, KERNEL_BLOCK), (2 * KERNEL_BLOCK, 1)]
-    assert list(kernel_blocks(CFG, default_params(WindowKind.GAUSS, CFG), np.array([]))) == []
+    assert list(kernel_blocks(default_params(WindowKind.GAUSS, CFG), CFG, np.array([]))) == []
 
 
 @pytest.mark.parametrize("kind", [WindowKind.GAUSS, WindowKind.BSPLINE, WindowKind.SINH])
@@ -321,16 +320,16 @@ def test_noise_response_rejects_uncovered_windows():
     t = np.linspace(-0.5, 0.5, 2 * KERNEL_BLOCK + 1)
     lo, hi = -128 - CFG.m + 1, 128 + CFG.m  # exactly the windows of t
     noise = np.random.default_rng(2).uniform(-1.0, 1.0, (3, hi - lo + 1))
-    assert noise_response_max(CFG, w, t, lo, noise) > 0.0
+    assert noise_response_max(w, CFG, t, lo, noise) > 0.0
     # One sample short at either end: a negative or an overlong slice.
     with pytest.raises(IndexOutOfRange):
-        noise_response_max(CFG, w, t, lo + 1, noise[:, 1:])
+        noise_response_max(w, CFG, t, lo + 1, noise[:, 1:])
     with pytest.raises(IndexOutOfRange):
-        noise_response_max(CFG, w, t, lo, noise[:, :-1])
+        noise_response_max(w, CFG, t, lo, noise[:, :-1])
     late = t.copy()
     late[-1] = 0.7  # only the last block leaves the range
     with pytest.raises(IndexOutOfRange):
-        noise_response_max(CFG, w, late, lo, noise)
+        noise_response_max(w, CFG, late, lo, noise)
 
 
 def test_noise_response_matches_gathered_sums():
@@ -342,13 +341,13 @@ def test_noise_response_matches_gathered_sums():
     t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
     lo, hi = -CFG.L - CFG.m, CFG.L + CFG.m
     noise = rng.uniform(-1e-3, 1e-3, (4, hi - lo + 1))
-    idx, weights = kernel_matrix(CFG, w, t)
+    idx, weights = kernel_matrix(w, CFG, t)
     want = max(float(np.max(np.abs(np.einsum("ij,ij->i", row[idx - lo], weights)))) for row in noise)
-    got = noise_response_max(CFG, w, t, lo, noise)
+    got = noise_response_max(w, CFG, t, lo, noise)
     assert abs(got - want) <= 4 * np.spacing(want)
     # On-grid targets alone echo their own noise sample, exactly.
     j = np.array([17, -3, 0, CFG.L])
-    assert noise_response_max(CFG, w, j / CFG.L, lo, noise) == np.max(np.abs(noise[:, j - lo]))
+    assert noise_response_max(w, CFG, j / CFG.L, lo, noise) == np.max(np.abs(noise[:, j - lo]))
 
 
 def test_grid_memory_does_not_grow_with_targets():

@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from regusamp import specfun
+from regusamp.kernel import ft_window
 from regusamp.windows import (
     InvalidConfig,
     SamplingConfig,
@@ -15,7 +16,6 @@ from regusamp.windows import (
     default_params,
     eval_truncated,
     eval_window,
-    window_ft_at_zero,
 )
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
@@ -91,7 +91,8 @@ def test_config_errors_are_typed():
     bad_windows = [
         ("triangle", {}), (WindowKind.GAUSS, {}), (WindowKind.GAUSS, {"sigma": math.nan}),
         (WindowKind.BSPLINE, {"s": math.inf}), (WindowKind.BSPLINE, {"s": 2.5}),
-        (WindowKind.SINH, {"beta": -1.0}),
+        (WindowKind.SINH, {"beta": -1.0}), (WindowKind.GAUSS, {"sigma": math.inf}),
+        (WindowKind.SINH, {"beta": math.inf}), (WindowKind.SINH, {"beta": math.nan}),
     ]
     for kind, params in bad_windows:
         with pytest.raises(InvalidConfig):
@@ -210,14 +211,14 @@ def test_truncated_zero_outside_support():
 
 def test_ft_at_zero_closed_forms():
     gauss = spec_for(WindowKind.GAUSS)
-    assert window_ft_at_zero(gauss, CFG) == pytest.approx(math.sqrt(2 * math.pi) * gauss.sigma, rel=1e-14)
+    assert ft_window(gauss, CFG, 0.0) == pytest.approx(math.sqrt(2 * math.pi) * gauss.sigma, rel=1e-14)
     bspl = spec_for(WindowKind.BSPLINE)
     m0 = float(specfun.m2s_at_zero(bspl.s))
-    assert window_ft_at_zero(bspl, CFG) == pytest.approx(CFG.m / (bspl.s * CFG.L * m0), rel=1e-14)
-    assert window_ft_at_zero(spec_for(WindowKind.RECT), CFG) == pytest.approx(2 * CFG.m / CFG.L, rel=1e-15)
+    assert ft_window(bspl, CFG, 0.0) == pytest.approx(CFG.m / (bspl.s * CFG.L * m0), rel=1e-14)
+    assert ft_window(spec_for(WindowKind.RECT), CFG, 0.0) == pytest.approx(2 * CFG.m / CFG.L, rel=1e-15)
     sinh = spec_for(WindowKind.SINH)
     want = math.pi * CFG.m * scipy.special.i1(sinh.beta) / (CFG.L * math.sinh(sinh.beta))
-    assert window_ft_at_zero(sinh, CFG) == pytest.approx(want, rel=1e-13)
+    assert ft_window(sinh, CFG, 0.0) == pytest.approx(want, rel=1e-13)
 
 
 def test_ft_at_zero_matches_quadrature():
@@ -228,4 +229,4 @@ def test_ft_at_zero_matches_quadrature():
         else:
             hi = CFG.m / CFG.L
         val = 2.0 * specfun.integrate(lambda x: float(eval_window(w, CFG, x)), 0.0, hi).value
-        assert abs(val - window_ft_at_zero(w, CFG)) <= 1e-10
+        assert abs(val - ft_window(w, CFG, 0.0)) <= 1e-10
