@@ -165,7 +165,11 @@ def _cmd_experiment(args) -> int:
         return EXIT_IO
     seed = os.environ.get("REGUSAMP_SEED")
     if seed:
-        plans = [replace(p, seed=int(seed)) for p in plans]
+        try:
+            seed_value = int(seed)
+        except ValueError:
+            raise ValueError(f"REGUSAMP_SEED must be an integer, got {seed!r}") from None
+        plans = [replace(p, seed=seed_value) for p in plans]
     try:
         rows = [row for plan in plans for row in harness.run_plan(plan, jobs=max(1, args.jobs))]
     except harness.BoundViolation as exc:

@@ -22,11 +22,9 @@ worker, so ``jobs`` > 1 changes the scheduling only, never a row.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 
 import numpy as np
 
@@ -99,8 +97,7 @@ class ErrorRow:
     tau: float
     lam: float
     measured: float
-    bound: float | None
-    bound_valid: bool
+    bound: float | None  # None where the closed-form bound is inapplicable
 
 
 def _eval_grid(S: int) -> np.ndarray:
@@ -124,7 +121,7 @@ def _approx_cell(plan: ExperimentPlan, cell) -> ErrorRow:
             f"approximation error {measured:.6e} exceeds bound {bound:.6e} at "
             f"window={kind.value}, m={m}, tau={tau:g}, lam={lam:g}"
         )
-    return ErrorRow(kind, m, tau, lam, measured, bound, bound is not None)
+    return ErrorRow(kind, m, tau, lam, measured, bound)
 
 
 # Noise values held at once by a perturbation cell: its trials are drawn as
@@ -161,7 +158,7 @@ def _perturb_cell(plan: ExperimentPlan, cell, cell_index: int) -> ErrorRow:
             f"perturbation error {measured:.6e} exceeds bound {bound:.6e} at "
             f"window={kind.value}, m={m}, tau={tau:g}, lam={lam:g}"
         )
-    return ErrorRow(kind, m, tau, lam, measured, bound, True)
+    return ErrorRow(kind, m, tau, lam, measured, bound)
 
 
 def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
@@ -189,6 +186,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
     if jobs <= 1 or count <= 1:
         rows = [worker(i) for i in range(count)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(worker, range(count)))
     return tuple(rows)
@@ -205,10 +204,11 @@ def emit_csv(rows, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("window,m,tau,lambda,measured,bound,bound_valid\n")
         for r in rows:
-            bound = _fmt(r.bound) if r.bound_valid else "NA"
+            valid = r.bound is not None
+            bound = _fmt(r.bound) if valid else "NA"
             fh.write(
                 f"{r.window.value},{r.m},{_fmt(r.tau)},{_fmt(r.lam)},"
-                f"{_fmt(r.measured)},{bound},{str(r.bound_valid).lower()}\n"
+                f"{_fmt(r.measured)},{bound},{str(valid).lower()}\n"
             )
 
 
@@ -294,6 +294,8 @@ PRESETS = ("fig2", "fig5", "fig6", "fig8", "fig9", "fig10")
 
 def load_preset(name: str) -> list[ExperimentPlan]:
     """The checked-in plans of a preset, as its file states them."""
+    from importlib import resources
+
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
     with resources.as_file(resources.files("regusamp").joinpath("presets", f"{name}.plan")) as p:

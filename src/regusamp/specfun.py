@@ -5,9 +5,11 @@ scalars or numpy arrays and broadcast elementwise.  The complementary error
 function and the Bessel functions are delegated to scipy.special (Cephes /
 AMOS), which meets the accuracy targets of this package (erfc absolute error
 <= 1e-15, J1/I1 relative error <= 1e-12 away from their zeros); the odd
-symmetry of J1 is enforced by construction.  The centered cardinal B-spline
-(piecewise Horner on exact piece coefficients), its exact center values and
-the Eulerian numbers are implemented here directly.
+symmetry of J1 is enforced by construction.  scipy.special loads on the first
+call of erfc, J1 or I1e, so importing the package and reconstructing never
+load it.  The centered cardinal B-spline (piecewise Horner on exact piece
+coefficients), its exact center values and the Eulerian numbers are
+implemented here directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy import special as _sp
 
 
 class InvalidOrder(ValueError):
@@ -35,23 +36,29 @@ class NoConvergence(RuntimeError):
 
 def erfc(x):
     """Complementary error function 1 - erf(x)."""
+    from scipy.special import erfc as sp_erfc
+
     x = np.asarray(x, dtype=float)
-    out = _sp.erfc(x)
+    out = sp_erfc(x)
     return out if out.ndim else float(out)
 
 
 def bessel_j1(x):
     """Bessel function of the first kind J1(x); odd by construction."""
+    from scipy.special import j1
+
     x = np.asarray(x, dtype=float)
-    out = _sp.j1(np.abs(x))
+    out = j1(np.abs(x))
     out = np.where(x < 0, -out, out)
     return out if out.ndim else float(out)
 
 
 def bessel_i1_scaled(x):
     """Exponentially scaled I1: exp(-|x|) * I1(x).  Safe for all finite x."""
+    from scipy.special import i1e
+
     x = np.asarray(x, dtype=float)
-    out = _sp.i1e(x)
+    out = i1e(x)
     return out if out.ndim else float(out)
 
 

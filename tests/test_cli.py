@@ -6,6 +6,7 @@ Most calls run ``cli.main`` in this process (``run_cli``); a few start
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -59,15 +60,50 @@ def sample_csv(tmp_path_factory):
     return path, ss
 
 
-def test_import_leaves_quadrature_oracle_unloaded():
-    # scipy.integrate serves only the quadrature oracles and is imported
-    # on their first call, not at start-up of every regusamp process.
+# Run in a fresh interpreter with the arguments package root, sample file
+# (CFG) and plan file: which heavy modules each step has loaded, one JSON
+# object per step.
+IMPORT_PATH_PROBE = """
+import contextlib, io, json, os, sys
+root, samples, plan = sys.argv[1:]
+sys.path.insert(0, root)
+HEAVY = ("scipy.special", "scipy.integrate", "concurrent.futures.process")
+
+def loaded(step):
+    print(json.dumps({"step": step, **{name: name in sys.modules for name in HEAVY}}))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+from regusamp import cli
+loaded("import")
+flags = ("--N", "32", "--lambda", "1", "--tau", "1/3")
+for window in ("rect", "gauss", "bspline", "sinh"):
+    run("reconstruct", "--samples", samples, *flags, "--m", "4", "--window", window, "--grid", "-1,1,21")
+run("experiment", "--plan", plan, "--out", os.path.join(os.path.dirname(plan), "o.csv"), "--jobs", "1")
+loaded("reconstruct+experiment")
+run("bounds", *flags, "--window", "sinh", "--m", "2")
+loaded("bounds")
+"""
+
+
+def test_import_path_loads_scipy_special_on_first_use(sample_csv, tmp_path):
+    # Importing the package and reconstructing need numpy only: scipy.special
+    # (erfc, J1, I1e) loads when bounds first needs it, scipy.integrate with
+    # the quadrature oracles and the process pool with jobs > 1.
+    plan = tmp_path / "clean.plan"
+    plan.write_text(PLAN_TEXT.replace("windows = gauss,sinh", "windows = rect,gauss,bspline,sinh"))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    code = "import sys, regusamp.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    env.pop("REGUSAMP_SEED", None)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_PROBE, PACKAGE_ROOT, str(sample_csv[0]), str(plan)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    steps = {s.pop("step"): s for s in map(json.loads, proc.stdout.splitlines())}
+    assert steps["import"] == {"scipy.special": False, "scipy.integrate": False,
+                               "concurrent.futures.process": False}
+    assert steps["reconstruct+experiment"]["scipy.special"] is False
+    assert steps["bounds"]["scipy.special"] is True
 
 
 def test_selftest_passes():
@@ -385,7 +421,8 @@ def test_bounds_non_finite_value_exit_2(window, flag, value, message):
     (("eps = 0", "eps = inf"), {}, "eps must be finite and >= 0, got inf"),
     (("seed = 9", "seed = -1"), {}, "seed must be >= 0, got -1"),
     (("", ""), {"REGUSAMP_SEED": "-1"}, "seed must be >= 0, got -1"),
-], ids=["plan-eps-nan", "plan-eps-inf", "plan-seed-negative", "env-seed-negative"])
+    (("", ""), {"REGUSAMP_SEED": "abc"}, "REGUSAMP_SEED must be an integer, got 'abc'"),
+], ids=["plan-eps-nan", "plan-eps-inf", "plan-seed-negative", "env-seed-negative", "env-seed-not-integer"])
 def test_experiment_bad_noise_or_seed_exit_2(tmp_path, change, env, message):
     # Rejected before any cell runs: no row, no CSV.
     plan = tmp_path / "bad.plan"

@@ -63,7 +63,7 @@ def test_approximation_rows_and_decay():
     rows = run_plan(SMALL_PLAN)
     assert len(rows) == 6
     for row in rows:
-        assert row.bound_valid and row.measured <= row.bound
+        assert row.bound is not None and row.measured <= row.bound
     by_window = {}
     for row in rows:
         by_window.setdefault(row.window, []).append(row.measured)
@@ -204,9 +204,9 @@ def test_comparison_preset_row_layout():
     # B-spline closed form applies only at lambda = 2 on this grid.
     for r in rows:
         if r.window is WindowKind.BSPLINE:
-            assert r.bound_valid == (r.lam == 2.0)
+            assert (r.bound is not None) == (r.lam == 2.0)
         else:
-            assert r.bound_valid
+            assert r.bound is not None
 
 
 def test_bound_violation_aborts_run(monkeypatch):
@@ -231,8 +231,8 @@ def test_emit_csv_contract(tmp_path):
     emit_csv((), path)
     assert path.read_text() == "window,m,tau,lambda,measured,bound,bound_valid\n"
     rows = (
-        ErrorRow(WindowKind.BSPLINE, 3, 0.45, 1.0, 1.25e-3, None, False),
-        ErrorRow(WindowKind.SINH, 3, 0.45, 1.0, 1.25e-3, 5e-2, True),
+        ErrorRow(WindowKind.BSPLINE, 3, 0.45, 1.0, 1.25e-3, None),
+        ErrorRow(WindowKind.SINH, 3, 0.45, 1.0, 1.25e-3, 5e-2),
     )
     emit_csv(rows, path)
     lines = path.read_text().splitlines()
