@@ -16,8 +16,10 @@ Clean and noisy cells share the block evaluator of ``reconstruct``: a clean
 cell reduces the kernel blocks against the samples (reconstruct_grid), a
 noisy cell draws its trials as a (trials x n) matrix, in blocks capped at
 _NOISE_BLOCK_VALUES values, and reduces every kernel block against all of
-them at once (noise_response_max).  Each cell runs through one picklable
-worker, so ``jobs`` > 1 changes the scheduling only, never a row.
+them at once (noise_response_max).  Every cell runs through one picklable
+runner, _run_cell, which sets the cell up, lets _approx_cell or _perturb_cell
+measure the error and its bound, and makes the one bound check, so ``jobs``
+> 1 changes the scheduling only, never a row.
 """
 
 from __future__ import annotations
@@ -100,28 +102,12 @@ class ErrorRow:
     bound: float | None  # None where the closed-form bound is inapplicable
 
 
-def _eval_grid(S: int) -> np.ndarray:
-    # S equidistant points inclusive of both endpoints of [-1, 1].
-    return np.linspace(-1.0, 1.0, S)
-
-
-def _approx_cell(plan: ExperimentPlan, cell) -> ErrorRow:
-    kind, tau, lam, m = cell
-    cfg = SamplingConfig(plan.N, lam, tau, m)
-    w = default_params(kind, cfg)
+def _approx_cell(plan: ExperimentPlan, cfg, w, t, lo: int, hi: int) -> tuple[float, float | None]:
     f = TestFunction(plan.test_fn, delta=cfg.delta)
-    ss = sample(f, cfg, -cfg.L - m, cfg.L + m)
-    t = _eval_grid(plan.S)
-    rec = reconstruct_grid(ss, w, t)
+    rec = reconstruct_grid(sample(f, cfg, lo, hi), w, t)
     measured = float(np.max(np.abs(f(t) - rec)))
-    closed = closed_form_bound(kind, cfg)
-    bound = None if closed is None else closed * f.l2_norm
-    if bound is not None and measured > bound:
-        raise BoundViolation(
-            f"approximation error {measured:.6e} exceeds bound {bound:.6e} at "
-            f"window={kind.value}, m={m}, tau={tau:g}, lam={lam:g}"
-        )
-    return ErrorRow(kind, m, tau, lam, measured, bound)
+    closed = closed_form_bound(w.kind, cfg)
+    return measured, None if closed is None else closed * f.l2_norm
 
 
 # Noise values held at once by a perturbation cell: its trials are drawn as
@@ -139,34 +125,37 @@ def _trial_noise(plan: ExperimentPlan, cell_index: int, n: int, trials: range) -
     return out
 
 
-def _perturb_cell(plan: ExperimentPlan, cell, cell_index: int) -> ErrorRow:
-    kind, tau, lam, m = cell
-    cfg = SamplingConfig(plan.N, lam, tau, m)
-    w = default_params(kind, cfg)
-    lo, hi = -cfg.L - m, cfg.L + m
+def _perturb_cell(plan: ExperimentPlan, cell_index: int, cfg, w, t, lo: int, hi: int) -> tuple[float, float]:
     n = hi - lo + 1
-    t = _eval_grid(plan.S)
     per_block = max(1, _NOISE_BLOCK_VALUES // n)
     measured = 0.0
     for first in range(0, plan.trials, per_block):
         noise = _trial_noise(plan, cell_index, n, range(first, min(first + per_block, plan.trials)))
         # R(f~) - R(f) is linear in the perturbation, so reconstruct it alone.
         measured = max(measured, noise_response_max(w, cfg, t, lo, noise))
-    bound = robustness_bound(w, cfg, plan.eps).value
-    if measured > bound:
-        raise BoundViolation(
-            f"perturbation error {measured:.6e} exceeds bound {bound:.6e} at "
-            f"window={kind.value}, m={m}, tau={tau:g}, lam={lam:g}"
-        )
-    return ErrorRow(kind, m, tau, lam, measured, bound)
+    return measured, robustness_bound(w, cfg, plan.eps).value
 
 
 def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
-    """Row of cell i: a perturbation run when eps > 0, else a clean one."""
-    cell = plan.cells()[i]
+    """Row of cell i: a perturbation run when eps > 0, else a clean one,
+    on S equidistant targets covering [-1, 1] inclusive."""
+    kind, tau, lam, m = plan.cells()[i]
+    cfg = SamplingConfig(plan.N, lam, tau, m)
+    w = default_params(kind, cfg)
+    t = np.linspace(-1.0, 1.0, plan.S)
+    lo, hi = -cfg.L - m, cfg.L + m
     if plan.eps > 0:
-        return _perturb_cell(plan, cell, i)
-    return _approx_cell(plan, cell)
+        what = "perturbation"
+        measured, bound = _perturb_cell(plan, i, cfg, w, t, lo, hi)
+    else:
+        what = "approximation"
+        measured, bound = _approx_cell(plan, cfg, w, t, lo, hi)
+    if bound is not None and measured > bound:
+        raise BoundViolation(
+            f"{what} error {measured:.6e} exceeds bound {bound:.6e} at "
+            f"window={kind.value}, m={m}, tau={tau:g}, lam={lam:g}"
+        )
+    return ErrorRow(kind, m, tau, lam, measured, bound)
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
@@ -188,7 +177,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A pool forks all its workers on the first submit: no more than cells.
+        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
             rows = list(pool.map(worker, range(count)))
     return tuple(rows)
 
@@ -263,7 +253,10 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise ValueError(f"unknown plan key {key!r}")
         if key in fields:
             raise ValueError(f"plan key {key!r} given twice")
-        fields[key] = _PLAN_KEYS[key](val)
+        try:
+            fields[key] = _PLAN_KEYS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"plan key {key!r}: {exc}") from None
     missing = {"test_fn", "N", "m_list", "tau_list", "lambda_list", "windows"} - set(fields)
     if missing:
         raise ValueError(f"plan is missing keys: {sorted(missing)}")

@@ -18,6 +18,8 @@ is its one-point call, so a point gets the same value alone or in a grid.
 noise_response_max reduces each block against a whole matrix of noise
 trials at once, with one small matrix product per run of targets that share
 a window.  Memory therefore stays fixed as the number of targets grows.
+Both leave the decision whether a block's samples are present to one
+helper, _require_covered, which names the first target that lacks some.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class TestFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TestFunctionKind(self.kind))
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta!r}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -106,16 +108,6 @@ class SampleSet:
     def __len__(self):
         return self.index_hi - self.index_lo + 1
 
-    def take(self, indices) -> np.ndarray:
-        """Sample values at the given absolute indices."""
-        idx = np.asarray(indices)
-        if idx.size and (idx.min() < self.index_lo or idx.max() > self.index_hi):
-            raise IndexOutOfRange(
-                f"indices [{idx.min()}, {idx.max()}] outside sample range "
-                f"[{self.index_lo}, {self.index_hi}]"
-            )
-        return self.values[idx - self.index_lo]
-
 
 def sample(f: TestFunction, cfg: SamplingConfig, lo: int, hi: int) -> SampleSet:
     """Clean samples f(l/L) for l = lo..hi."""
@@ -138,8 +130,8 @@ def _draw_noise(n: int, eps: float, seed) -> np.ndarray:
 def perturb(ss: SampleSet, eps: float, seed: int) -> SampleSet:
     """The perturbed samples f(l/L) + eps_l, with seeded uniform eps_l in
     (-eps, eps) drawn by _draw_noise(len(ss), eps, seed)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps!r}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     return SampleSet(ss.cfg, ss.index_lo, ss.index_hi, ss.values + _draw_noise(len(ss), eps, seed))
 
 
@@ -211,6 +203,19 @@ def kernel_blocks(w: WindowSpec, cfg: SamplingConfig, t):
         yield rows, kernel_matrix(w, cfg, t[rows])
 
 
+def _require_covered(t, first, last, lo: int, hi: int, what: str) -> None:
+    """Raise IndexOutOfRange unless every target's sample span first..last
+    lies in lo..hi, naming the first target that leaves it; ``what`` names
+    the data covering lo..hi.  An on-grid row's span is its one sample."""
+    outside = (first < lo) | (last > hi)
+    if not outside.any():
+        return
+    i = int(np.argmax(outside))
+    a, b = int(first[i]), int(last[i])
+    needs = f"needs sample index {a}" if a == b else f"requires samples for indices [{a}, {b}]"
+    raise IndexOutOfRange(f"t = {float(t[i])!r} {needs}; {what} covers [{lo}, {hi}]")
+
+
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """The localized reconstruction at every target of a 1-D array.
 
@@ -223,24 +228,9 @@ def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
     for rows, (idx, weights) in kernel_blocks(w, ss.cfg, t):
-        try:
-            values = ss.take(idx)
-        except IndexOutOfRange:
-            raise _uncovered(ss, t[rows], idx) from None
-        np.einsum("ij,ij->i", values, weights, out=out[rows])
+        _require_covered(t[rows], idx[:, 0], idx[:, -1], ss.index_lo, ss.index_hi, "sample set")
+        np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights, out=out[rows])
     return out
-
-
-def _uncovered(ss: SampleSet, t, idx) -> IndexOutOfRange:
-    """The error for the first target of a block whose window ``ss`` lacks;
-    an on-grid row is the one whose indices are all equal."""
-    i = int(np.argmax((idx[:, 0] < ss.index_lo) | (idx[:, -1] > ss.index_hi)))
-    covers = f"sample set covers [{ss.index_lo}, {ss.index_hi}]"
-    if idx[i, 0] == idx[i, -1]:
-        return IndexOutOfRange(f"t = {float(t[i])!r} needs sample index {int(idx[i, 0])}; {covers}")
-    return IndexOutOfRange(
-        f"t = {float(t[i])!r} requires samples for indices [{int(idx[i, 0])}, {int(idx[i, -1])}]; {covers}"
-    )
 
 
 def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noise) -> float:
@@ -253,26 +243,22 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
     one slice of every trial's noise, so each run of such rows is a single
     matrix product weights[run] @ noise[:, s:s+2m].T (sorted targets make
     the runs long).  kernel_matrix puts an on-grid row's unit weight at
-    column m - 1 of that window, so every row reads it the same way.  Raises
-    IndexOutOfRange when a target's window is not covered.
+    column m - 1 of that window, so every row, on the grid or off it, reads
+    all of it: a target whose window the noise lacks raises IndexOutOfRange.
     """
+    t = np.asarray(t, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 2:
         raise ValueError("noise must be a (trials, n) matrix")
     m2 = 2 * cfg.m
-    n = noise.shape[1]
+    index_hi = index_lo + noise.shape[1] - 1
     worst = 0.0
-    for _, (idx, weights) in kernel_blocks(w, cfg, t):
-        start = idx[:, cfg.m - 1] - (cfg.m - 1) - index_lo
-        lo, hi = int(start.min()), int(start.max()) + m2 - 1
-        if lo < 0 or hi >= n:
-            raise IndexOutOfRange(
-                f"targets require samples for indices [{lo + index_lo}, {hi + index_lo}]; "
-                f"noise covers [{index_lo}, {index_lo + n - 1}]"
-            )
+    for rows, (idx, weights) in kernel_blocks(w, cfg, t):
+        start = idx[:, cfg.m - 1] - (cfg.m - 1)
+        _require_covered(t[rows], start, start + (m2 - 1), index_lo, index_hi, "noise")
         edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
         for a, b in zip(edges[:-1], edges[1:]):
-            s = start[a]
+            s = start[a] - index_lo
             response = weights[a:b] @ noise[:, s:s + m2].T
             worst = max(worst, float(np.max(np.abs(response))))
     return worst

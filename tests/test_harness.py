@@ -119,6 +119,34 @@ def test_parallel_matches_serial():
         assert r1 == r2
 
 
+def test_pool_capped_at_cell_count(monkeypatch):
+    # A process pool forks all its workers on the first submit, so run_plan
+    # asks for no more than the plan has cells.  The fake pool records the
+    # request and maps in process, so no worker starts.
+    import concurrent.futures
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    plan = dataclasses.replace(SMALL_PLAN, m_list=(2,), S=201)
+    assert len(plan.cells()) == 2
+    assert run_plan(plan, jobs=64) == run_plan(plan, jobs=1)
+    assert requested == [2]
+
+
 NOISY_PLAN = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=7, S=1001)
 
 
@@ -178,7 +206,7 @@ def test_trial_maximum_below_exact_amplification_below_bounds(preset):
             cfg = SamplingConfig(plan.N, lam, tau, m)
             w = default_params(kind, cfg)
             worst = plan.eps * noise_amplification(w, cfg, t)
-            measured = harness_mod._perturb_cell(plan, cells[i], i).measured
+            measured = harness_mod._run_cell(plan, i).measured
             rb = robustness_bound(w, cfg, plan.eps)
             assert measured <= worst <= min(rb.specialized, rb.generic), (cells[i], measured, worst, rb)
 
@@ -292,14 +320,20 @@ def test_parse_plan_all_keys_match_constructor():
 
 # A plan with an unknown test signal ("custom"), a zero denominator, a key
 # given twice, a non-finite noise level or a negative seed fails while
-# parsing, before any cell runs.
+# parsing, before any cell runs.  A value its key's converter rejects names
+# that key.
+CONVERTER_REJECTS = {("m_list", "2.5"), ("tau_list", "1/0"), ("N", "32.5"), ("S", "x")}
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("m_list", "2.5"), ("windows", "bogus"), ("test_fn", "custom"), ("tau_list", "1/0"),
-     ("tau_list", "1/3\ntau_list = 1/4"), ("eps", "nan"), ("eps", "inf"), ("seed", "-1")],
+     ("tau_list", "1/3\ntau_list = 1/4"), ("eps", "nan"), ("eps", "inf"), ("seed", "-1"),
+     ("N", "32.5"), ("S", "x")],
 )
 def test_parse_plan_rejects_bad_values(key, value):
-    with pytest.raises(ValueError):
+    named = f"plan key '{key}': " if (key, value) in CONVERTER_REJECTS else None
+    with pytest.raises(ValueError, match=named):
         parse_plan(plan_block(**{key: value}))
 
 

@@ -101,6 +101,14 @@ def test_perturb_requires_positive_eps():
         perturb(full_sample_set(), 0.0, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_delta_and_eps_rejected(bad):
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        TestFunction(TestFunctionKind.SINC_BAND, delta=bad)
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        perturb(full_sample_set(), bad, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Point reconstruction
 
@@ -145,24 +153,24 @@ def test_zero_samples_zero_everywhere():
         assert reconstruct_at(zero, w, 0.377) == 0.0
 
 
-def test_locality_reads_exactly_2m_samples(monkeypatch):
+def test_locality_reads_exactly_2m_samples():
+    # R f(t) reads the samples k-m+1..k+m alone, and an on-grid t = j/L reads
+    # sample j alone: replacing every other sample leaves the value
+    # bit-identical, and changing any one sample it reads moves it.
     ss = full_sample_set()
     w = default_params(WindowKind.GAUSS, CFG)
-    taken = []
-    take = SampleSet.take
-
-    def recording_take(self, indices):
-        taken.extend(np.asarray(indices).ravel().tolist())
-        return take(self, indices)
-
-    monkeypatch.setattr(SampleSet, "take", recording_take)
-    t = 0.1234
-    k = math.floor(CFG.L * t)
-    reconstruct_at(ss, w, t)
-    assert set(taken) == set(range(k - CFG.m + 1, k + CFG.m + 1))
-    taken.clear()
-    reconstruct_at(ss, w, 5 / CFG.L)  # on-grid: only the sample itself
-    assert set(taken) == {5}
+    rng = np.random.default_rng(17)
+    k = math.floor(CFG.L * 0.1234)
+    for t, reads in ((0.1234, range(k - CFG.m + 1, k + CFG.m + 1)), (5 / CFG.L, [5])):
+        pos = np.asarray(reads) - ss.index_lo
+        want = reconstruct_at(ss, w, t)
+        others = rng.uniform(-1.0, 1.0, len(ss))
+        others[pos] = ss.values[pos]
+        assert reconstruct_at(SampleSet(CFG, ss.index_lo, ss.index_hi, others), w, t) == want
+        for j in pos:
+            moved = ss.values.copy()
+            moved[j] += 0.5
+            assert reconstruct_at(SampleSet(CFG, ss.index_lo, ss.index_hi, moved), w, t) != want
 
 
 def test_linearity():
@@ -330,6 +338,18 @@ def test_noise_response_rejects_uncovered_windows():
     late[-1] = 0.7  # only the last block leaves the range
     with pytest.raises(IndexOutOfRange):
         noise_response_max(w, CFG, late, lo, noise)
+
+
+@pytest.mark.parametrize("t,message", [
+    # An on-grid target reads its whole window here, unlike in reconstruct_grid.
+    ([0.0, 0.75, -0.8, 0.7], r"t = 0\.75 requires samples for indices \[188, 197\]; noise covers \[-140, 140\]"),
+    ([0.0, -0.6, 0.7], r"t = -0\.6 requires samples for indices \[-158, -149\]; noise covers \[-140, 140\]"),
+])
+def test_noise_response_out_of_range_names_first_uncovered_target(t, message):
+    w = default_params(WindowKind.GAUSS, CFG)
+    noise = np.random.default_rng(4).uniform(-1.0, 1.0, (2, 281))
+    with pytest.raises(IndexOutOfRange, match=message):
+        noise_response_max(w, CFG, np.array(t), -140, noise)
 
 
 def test_noise_response_matches_gathered_sums():
