@@ -14,6 +14,8 @@ B-spline and sinh bounds decay exponentially in m.  Perturbations bounded by
 eps propagate to at most eps*(2 + L*phihat(0)) uniformly, with sqrt(m)-growth
 closed forms per window; the exact worst case on a target grid is eps times
 the maximum of the operator's Lebesgue function (noise_amplification).
+Each closed form is proven only for the shape parameter that
+windows.default_params picks, and is None for any other window.
 
 Every band integral here is a difference of one window-transform tail
 T(x) = int_x^inf phihat(u) du (kernel.kernel_band_tail).  Because phihat
@@ -32,12 +34,7 @@ import numpy as np
 from . import specfun
 from .kernel import KernelEval, check_finite, ft_psi, ft_window, kernel_band_tail
 from .reconstruct import kernel_blocks
-from .windows import SamplingConfig, WindowKind, WindowSpec
-
-
-class ConditionViolated(ValueError):
-    """The B-spline bound's convergence condition tau/(1+lam) < 1/2 - 1/pi
-    fails; the closed-form bound is meaningless for this configuration."""
+from .windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 
 def eta(w: WindowSpec, cfg: SamplingConfig, v):
@@ -171,24 +168,21 @@ def bspline_condition_ok(cfg: SamplingConfig) -> bool:
     return cfg.tau / (1.0 + cfg.lam) < 0.5 - 1.0 / math.pi
 
 
-def bspline_bound(cfg: SamplingConfig) -> float:
-    """Exponential uniform-error constant of the B-spline window with
-    s = ceil((m+1)/2):
+def bspline_bound(cfg: SamplingConfig) -> float | None:
+    """Exponential uniform-error constant of the B-spline window with the
+    s that default_params(BSPLINE, cfg) picks:
 
     3*sqrt(delta*s)/((2s-1)*pi)
       * exp(-m*(ln(pi*m*(1+lam-2*tau)) - ln(2*s*(1+lam)))).
 
-    Raises ConditionViolated when tau/(1+lam) >= 1/2 - 1/pi, where the
-    underlying geometric ratio reaches 1 and the estimate carries no
+    None when tau/(1+lam) >= 1/2 - 1/pi (bspline_condition_ok fails), where
+    the underlying geometric ratio reaches 1 and the estimate carries no
     information (the reconstruction itself still works there).
     """
     if not bspline_condition_ok(cfg):
-        raise ConditionViolated(
-            f"bspline bound needs tau/(1+lam) < 1/2 - 1/pi = {0.5 - 1.0 / math.pi:.6f}, "
-            f"got {cfg.tau / (1.0 + cfg.lam):.6f}"
-        )
+        return None
     m = cfg.m
-    s = (m + 2) // 2
+    s = default_params(WindowKind.BSPLINE, cfg).s
     rate = math.log(math.pi * m * (1.0 + cfg.lam - 2.0 * cfg.tau)) - math.log(2.0 * s * (1.0 + cfg.lam))
     return 3.0 * math.sqrt(cfg.delta * s) / ((2 * s - 1) * math.pi) * math.exp(-m * rate)
 
@@ -197,20 +191,19 @@ def sinh_bound(cfg: SamplingConfig, case_one: bool = False) -> float:
     """Exponential uniform-error constant of the sinh window, for the beta
     that default_params(SINH, cfg, case_one) picks.
 
-    Default (beta = pi*m*(1+lam-2*tau)/(1+lam)):
+    Default:
         3*sqrt(2*delta)*exp(-beta).
-    case_one (beta = pi*m*(1+lam+2*tau)/(1+lam), kept for comparison):
+    case_one (kept for comparison):
         sqrt(beta*pi*delta) / ((1-2e^-beta)*(1-w0^2)^(1/4))
           * exp(-beta*(1-sqrt(1-w0^2)))
         + 2*sqrt(2*delta)/(1-e^-2beta) * exp(-beta),
     with w0 = (1+lam-2*tau)/(1+lam+2*tau).  The default decays strictly
     faster, which is why it is used everywhere.
     """
-    lam, tau, m, delta = cfg.lam, cfg.tau, cfg.m, cfg.delta
+    lam, tau, delta = cfg.lam, cfg.tau, cfg.delta
+    beta = default_params(WindowKind.SINH, cfg, case_one).beta
     if not case_one:
-        beta = math.pi * m * (1.0 + lam - 2.0 * tau) / (1.0 + lam)
         return 3.0 * math.sqrt(2.0 * delta) * math.exp(-beta)
-    beta = math.pi * m * (1.0 + lam + 2.0 * tau) / (1.0 + lam)
     w0 = (1.0 + lam - 2.0 * tau) / (1.0 + lam + 2.0 * tau)
     first = (
         math.sqrt(beta * math.pi * delta)
@@ -229,13 +222,13 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_bound(kind, cfg: SamplingConfig) -> float | None:
-    """The per-family uniform-error constant for the default shape
-    parameters; None for a B-spline cell that fails bspline_condition_ok."""
-    kind = WindowKind(kind)
-    if kind is WindowKind.BSPLINE and not bspline_condition_ok(cfg):
+def closed_form_bound(w: WindowSpec, cfg: SamplingConfig) -> float | None:
+    """The per-family uniform-error constant of ``w``.  None unless ``w`` is
+    default_params(w.kind, cfg), the one window its theorem covers, and None
+    for a B-spline cell that fails bspline_condition_ok."""
+    if w != default_params(w.kind, cfg):
         return None
-    return _CLOSED_FORMS[kind](cfg)
+    return _CLOSED_FORMS[w.kind](cfg)
 
 
 @dataclass(frozen=True)
@@ -244,7 +237,7 @@ class RobustnessBound:
 
     Both are valid upper bounds; neither dominates the other in general.
     ``specialized`` is None for the rect window, which has no sqrt(m)-growth
-    closed form.
+    closed form, and for any window but default_params(w.kind, cfg).
     """
 
     generic: float
@@ -261,7 +254,7 @@ def robustness_bound(w: WindowSpec, cfg: SamplingConfig, eps: float) -> Robustne
     bounded by eps.
 
     Generic (any window): eps * (2 + L*phihat(0)).  Specialized closed forms
-    (for the default shape parameters):
+    (for the default shape parameters only, else None):
         gauss:   eps * (2 + sqrt((2+2*lam)/(lam+1-2*tau)) * sqrt(m))
         bspline: eps * (2 + (3/2)*sqrt(m))
         sinh:    eps * (2 + sqrt((2+2*lam)/(1+lam-2*tau))
@@ -271,7 +264,9 @@ def robustness_bound(w: WindowSpec, cfg: SamplingConfig, eps: float) -> Robustne
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     generic = eps * (2.0 + cfg.L * ft_window(w, cfg, 0.0))
     m, lam, tau = cfg.m, cfg.lam, cfg.tau
-    if w.kind is WindowKind.GAUSS:
+    if w != default_params(w.kind, cfg):
+        special = None
+    elif w.kind is WindowKind.GAUSS:
         special = eps * (2.0 + math.sqrt((2.0 + 2.0 * lam) / (lam + 1.0 - 2.0 * tau)) * math.sqrt(m))
     elif w.kind is WindowKind.BSPLINE:
         special = eps * (2.0 + 1.5 * math.sqrt(m))
@@ -312,8 +307,6 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
 class BoundReport:
     """All error constants of one (window, config) cell."""
 
-    window: WindowSpec
-    cfg: SamplingConfig
     e1: float
     e2: float
     closed_form: float | None
@@ -322,9 +315,9 @@ class BoundReport:
 
 
 def compute_report(w: WindowSpec, cfg: SamplingConfig, eps: float = 1e-3) -> BoundReport:
-    """Evaluate E1, E2, the closed-form constant (None when inapplicable)
-    and the robustness bound (specialized where it exists, else generic)."""
+    """Evaluate E1, E2, the closed-form constant (None where closed_form_bound
+    gives none) and the robustness bound (specialized where it exists, else generic)."""
     robust = robustness_bound(w, cfg, eps).value
     e1 = e1_numeric(w, cfg)
-    closed = closed_form_bound(w.kind, cfg)
-    return BoundReport(w, cfg, e1, e2_numeric(w, cfg), closed, robust, e1 / math.sqrt(2.0 * cfg.delta))
+    closed = closed_form_bound(w, cfg)
+    return BoundReport(e1, e2_numeric(w, cfg), closed, robust, e1 / math.sqrt(2.0 * cfg.delta))

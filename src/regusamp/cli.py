@@ -140,7 +140,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    m_values = [int(x) for x in str(args.m).split(",")]
+    try:
+        m_values = [int(x) for x in str(args.m).split(",")]
+    except ValueError:
+        raise ValueError(f"--m expects an integer or a comma list of integers, got {args.m!r}") from None
     rows = ["window,m,tau,lambda,e1,e2,closed_form,robust_generic,robust_specialized,eta_max\n"]
     for m in m_values:
         cfg = SamplingConfig(args.N, args.lam, args.tau, m)

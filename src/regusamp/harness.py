@@ -106,7 +106,7 @@ def _approx_cell(plan: ExperimentPlan, cfg, w, t, lo: int, hi: int) -> tuple[flo
     f = TestFunction(plan.test_fn, delta=cfg.delta)
     rec = reconstruct_grid(sample(f, cfg, lo, hi), w, t)
     measured = float(np.max(np.abs(f(t) - rec)))
-    closed = closed_form_bound(w.kind, cfg)
+    closed = closed_form_bound(w, cfg)
     return measured, None if closed is None else closed * f.l2_norm
 
 

@@ -171,6 +171,9 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
         raise ValueError("t must be one-dimensional")
     check_finite("targets", t)
     L, m = cfg.L, cfg.m
+    far = np.abs(t) >= 2.0**62 / L  # no int64 sample index reaches these
+    if far.any():
+        raise IndexOutOfRange(f"t = {float(t[np.argmax(far)])!r} lies beyond every sample index: |t| >= 2**62/L")
     Lt = L * t
     k = np.floor(Lt)
     ongrid = Lt == k

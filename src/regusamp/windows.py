@@ -72,7 +72,7 @@ class SamplingConfig:
             warnings.warn(
                 f"2m = {2 * self.m} exceeds L/4 = {L / 4:g}; the localized-sampling "
                 "error analysis assumes 2m well below L",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass __init__
             )
 
     @property

@@ -7,7 +7,6 @@ import pytest
 
 from regusamp import specfun
 from regusamp.bounds import (
-    ConditionViolated,
     bspline_bound,
     bspline_condition_ok,
     closed_form_bound,
@@ -22,7 +21,8 @@ from regusamp.bounds import (
     sinh_bound,
 )
 from regusamp.kernel import KernelEval, ft_psi, ft_window
-from regusamp.windows import SamplingConfig, WindowKind, default_params
+from regusamp.reconstruct import TestFunction, TestFunctionKind, reconstruct_grid, sample
+from regusamp.windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 
@@ -210,11 +210,9 @@ def test_gauss_bound_dominates_numeric_constants():
 
 
 def test_bspline_gate_examples():
-    with pytest.raises(ConditionViolated):
-        bspline_bound(SamplingConfig(128, 1.0, 9 / 20, 5))  # tau/(1+lam) = 0.225
+    assert bspline_bound(SamplingConfig(128, 1.0, 9 / 20, 5)) is None  # tau/(1+lam) = 0.225
     assert bspline_bound(SamplingConfig(128, 1.0, 1 / 3, 5)) > 0.0
-    with pytest.raises(ConditionViolated):
-        bspline_bound(SamplingConfig(128, 0.0, 1 / 3, 5))
+    assert bspline_bound(SamplingConfig(128, 0.0, 1 / 3, 5)) is None
 
 
 def test_bspline_bound_dominates_numeric_constants():
@@ -255,10 +253,10 @@ def test_sinh_log_bound_decrement_exact():
 
 
 def test_closed_form_dispatch():
-    assert closed_form_bound(WindowKind.RECT, CFG) == rect_bound(CFG)
-    assert closed_form_bound(WindowKind.GAUSS, CFG) == gauss_bound(CFG)
-    assert closed_form_bound(WindowKind.BSPLINE, CFG) == bspline_bound(CFG)
-    assert closed_form_bound(WindowKind.SINH, CFG) == sinh_bound(CFG)
+    assert closed_form_bound(spec_for(WindowKind.RECT), CFG) == rect_bound(CFG)
+    assert closed_form_bound(spec_for(WindowKind.GAUSS), CFG) == gauss_bound(CFG)
+    assert closed_form_bound(spec_for(WindowKind.BSPLINE), CFG) == bspline_bound(CFG)
+    assert closed_form_bound(spec_for(WindowKind.SINH), CFG) == sinh_bound(CFG)
 
 
 def test_rect_e1_below_rect_bound_across_grid():
@@ -282,7 +280,7 @@ def test_numeric_constants_below_closed_forms_everywhere():
             for m in (2, 5, 10):
                 cfg = SamplingConfig(128, lam, tau, m)
                 w = default_params(kind, cfg)
-                closed = closed_form_bound(kind, cfg)
+                closed = closed_form_bound(w, cfg)
                 # None exactly where the B-spline gate rejects the cell.
                 assert (closed is None) == (kind is WindowKind.BSPLINE and not bspline_condition_ok(cfg))
                 if closed is None:
@@ -391,6 +389,24 @@ def test_compute_report_fields():
     assert rep.closed_form == sinh_bound(CFG)
     assert rep.eta_max == pytest.approx(rep.e1 / math.sqrt(2.0 * CFG.delta), rel=1e-15)
     assert rep.robustness > 0
+
+
+@pytest.mark.parametrize("w,cfg", [
+    (WindowSpec(WindowKind.BSPLINE, s=8), SamplingConfig(128, 1.0, 1 / 20, 6)),
+    (WindowSpec(WindowKind.GAUSS, sigma=0.001), SamplingConfig(128, 1.0, 1 / 3, 4)),
+    (WindowSpec(WindowKind.SINH, beta=40.0), SamplingConfig(128, 1.0, 1 / 3, 4)),
+])
+def test_non_default_window_gets_no_proven_constant(w, cfg):
+    # The closed forms hold for the default shape parameter only: this
+    # window's measured error exceeds the default window's closed form.
+    f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
+    ss = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
+    t = np.linspace(-1.0, 1.0, 20_001)
+    measured = float(np.max(np.abs(f(t) - reconstruct_grid(ss, w, t))))
+    assert measured > closed_form_bound(default_params(w.kind, cfg), cfg) * f.l2_norm
+    assert closed_form_bound(w, cfg) is None
+    assert compute_report(w, cfg).closed_form is None
+    assert robustness_bound(w, cfg, 1e-3).specialized is None
 
 
 def test_compute_report_invalid_bspline_cell():

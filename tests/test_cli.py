@@ -248,6 +248,7 @@ def test_reconstruct_grid_output_is_reconstruct_grid(sample_csv):
 @pytest.mark.parametrize("target,message", [
     ("--grid=0.0078125,1.5078125,4", "t = 1.5078125 requires samples for indices [93, 100]; sample set covers [-68, 68]"),
     ("--at=2.0", "t = 2.0 needs sample index 128; sample set covers [-68, 68]"),
+    ("--at=3e17", "t = 3e+17 lies beyond every sample index"),
 ])
 def test_reconstruct_exit_3_writes_no_rows(sample_csv, target, message):
     # The grid's first three targets are covered; none of their rows may appear.
@@ -325,6 +326,28 @@ def test_bounds_bad_m_writes_no_rows():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "m must be an integer >= 2, got 0" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["2.5", "3,"])
+def test_bounds_unparsable_m_names_flag(value):
+    proc = run_cli("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3",
+                   "--window", "gauss", "--m", value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--m expects an integer or a comma list of integers, got {value!r}" in proc.stderr
+
+
+@pytest.mark.parametrize("window,flag,value", [
+    ("bspline", "--s", "8"), ("gauss", "--sigma", "0.001"), ("sinh", "--beta", "40"),
+])
+def test_bounds_non_default_window_has_no_proven_constant(window, flag, value):
+    common = ("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3", "--window", window, "--m", "4")
+    row = run_cli(*common, flag, value).stdout.splitlines()[1].split(",")
+    assert row[6] == row[8] == "NA"  # closed_form, robust_specialized
+    default = run_cli(*common)
+    printed = default.stderr.rsplit(" = ", 1)[1].strip()  # "using default s = 3"
+    assert run_cli(*common, flag, printed).stdout == default.stdout
+    assert "NA" not in default.stdout
 
 
 PLAN_TEXT = (

@@ -240,7 +240,7 @@ def test_comparison_preset_row_layout():
 def test_bound_violation_aborts_run(monkeypatch):
     import regusamp.harness as harness_mod
 
-    monkeypatch.setattr(harness_mod, "closed_form_bound", lambda kind, cfg: 1e-300)
+    monkeypatch.setattr(harness_mod, "closed_form_bound", lambda w, cfg: 1e-300)
     with pytest.raises(BoundViolation, match="approximation error"):
         run_plan(SMALL_PLAN)
 

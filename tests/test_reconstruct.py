@@ -232,6 +232,18 @@ def test_grid_out_of_range():
         reconstruct_grid(ss, w, np.linspace(-1, 1, 11))
 
 
+@pytest.mark.parametrize("t,message", [
+    (3e17, r"t = 3e\+17 lies beyond every sample index: \|t\| >= 2\*\*62/L"),
+    (-3e17, r"t = -3e\+17 lies beyond every sample index"),
+    (1e308, r"t = 1e\+308 lies beyond every sample index"),  # L*t overflows
+    (2.0**53, r"t = 9007199254740992\.0 needs sample index 2305843009213693952;"),  # L*t = 2**61
+])
+def test_far_target_rejected_before_index_cast(t, message):
+    # |L*t| >= 2**63 would wrap in the int64 cast of floor(L*t).
+    with pytest.raises(IndexOutOfRange, match=message):
+        reconstruct_grid(full_sample_set(), default_params(WindowKind.GAUSS, CFG), np.array([t]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_targets_rejected(bad):
     ss = full_sample_set()

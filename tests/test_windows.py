@@ -61,8 +61,9 @@ def test_config_rejects_overwide_window():
 
 
 def test_config_warns_when_window_crowds_grid():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         SamplingConfig(16, 0.0, 1 / 3, 4)  # 2m = 8 > L/4 = 4
+    assert record[0].filename == __file__  # the caller, not the generated __init__
 
 
 def test_windowspec_parameter_discipline():
