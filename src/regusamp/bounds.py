@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .kernel import KernelEval, check_finite, ft_psi, ft_window, kernel_band_tail
-from .reconstruct import kernel_blocks
+from .reconstruct import _map_blocks, _require_window
 from .windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 
@@ -292,15 +292,18 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
     by noise = eps * sign(psi), so eps * max Lambda is the exact worst case
     on ``t`` that seeded noise trials only estimate from below, and every
     robustness bound must dominate it.  One row sum of |weights| per block
-    of reconstruct.kernel_blocks.
+    of reconstruct._map_blocks; a target with |t| >= 2**62/L has no window
+    and raises IndexOutOfRange.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise ValueError("need at least one target")
-    worst = 0.0
-    for _, (_, weights) in kernel_blocks(w, cfg, t):
-        worst = max(worst, float(np.max(np.sum(np.abs(weights), axis=1))))
-    return worst
+
+    def reduce(rows, idx, weights):
+        _require_window(cfg, t[rows])
+        return float(np.max(np.sum(np.abs(weights), axis=1)))
+
+    return max(_map_blocks(w, cfg, t, reduce))
 
 
 @dataclass(frozen=True)

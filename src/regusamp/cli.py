@@ -36,6 +36,7 @@ from .reconstruct import (
     reconstruct_at,
     reconstruct_grid,
     sample,
+    usable_cpu_count,
 )
 from .windows import SHAPE_PARAM, SamplingConfig, WindowKind, WindowSpec, default_params
 
@@ -85,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--plan", help="plan file (blocks separated by --- lines)")
     src.add_argument("--preset", choices=harness.PRESETS, help="checked-in figure grid")
     exp.add_argument("--out", required=True, help="output CSV path")
-    exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel workers over configuration cells")
+    exp.add_argument("--jobs", type=int, default=usable_cpu_count(),
+                     help="worker processes over configuration cells (default: the CPUs this process "
+                          "may use); a single process runs a cell's kernel blocks on threads")
 
     sub.add_parser("selftest", help="fast invariant suite")
     return parser

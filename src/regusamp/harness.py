@@ -160,7 +160,9 @@ def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
     """Rows of every cell in plan order.  ``jobs`` > 1 runs the cells in
-    worker processes, which changes no row.
+    worker processes, which changes no row.  With ``jobs`` = 1 a cell's
+    kernel blocks run on threads (reconstruct._map_blocks); a forked worker
+    runs them inline, so ``jobs`` workers keep ``jobs`` threads busy.
 
     Samples cover l = -L-m .. L+m, which is exactly the range the localized
     formula touches for targets in [-1, 1].  With eps = 0 a row is the

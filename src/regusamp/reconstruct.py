@@ -9,22 +9,28 @@ and R interpolates the samples exactly on (1/L)*Z.  A perturbed signal is
 plain sample data: perturb returns the samples f(l/L) + eps_l, which every
 evaluator reads like any other sample set.
 
-Every evaluation goes through one block evaluator, kernel_blocks, which
-builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time.  Every
-row has one layout: an on-grid target j/L reads sample j alone, with a unit
-weight at column m - 1, so column m - 1 always sits at index floor(L*t).
-reconstruct_grid reduces each block against the samples, and reconstruct_at
-is its one-point call, so a point gets the same value alone or in a grid.
-noise_response_max reduces each block against a whole matrix of noise
-trials at once, with one small matrix product per run of targets that share
-a window.  Memory therefore stays fixed as the number of targets grows.
-Both leave the decision whether a block's samples are present to one
+Every evaluation goes through one block evaluator, _map_blocks, which
+builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time and
+reduces it.  Every row has one layout: an on-grid target j/L reads sample j
+alone, with a unit weight at column m - 1, so column m - 1 always sits at
+index floor(L*t).  reconstruct_grid reduces each block against the samples,
+and reconstruct_at is its one-point call, so a point gets the same value
+alone or in a grid.  noise_response_max reduces each block against a whole
+matrix of noise trials at once, with one small matrix product per run of
+targets that share a window.  The blocks of one call run on up to
+usable_cpu_count() threads (numpy releases the GIL in the element functions,
+the gathers and the matrix products), each holding at most two blocks, so
+memory stays bounded however many targets there are.  Each block is
+computed exactly as alone, so the thread count changes no bit.  Both
+evaluators leave the decision whether a block's samples are present to one
 helper, _require_covered, which names the first target that lacks some.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,12 +153,17 @@ def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float) -> float:
 # Targets per block of the batched evaluators.  One block's index and weight
 # arrays hold 2 * 2048 * 2m values (655 KB at m = 10), and the element
 # functions add two or three float temporaries of the same shape, so a
-# block's working set stays near a 2 MB L2 cache and its memory does not
+# block's working set stays near a 2 MB L2 cache.  Each of up to
+# usable_cpu_count() threads holds at most two blocks, so memory does not
 # grow with the number of targets.  Smaller blocks pay more often a fixed
 # cost of some 50 us per block in numpy calls; larger ones leave the cache.
 # Of 1024, 1536, 2048, 3072 and 4096, 2048 ran the fig10 cells fastest on a
-# Xeon with 2 MB of L2 per core.
+# Xeon with 2 MB of L2 per core, and with two threads 2048 still beat 1024,
+# 4096 and 8192.
 KERNEL_BLOCK = 2048
+
+# |L*t| at and beyond which no int64 sample index reaches a target.
+_INDEX_LIMIT = 2.0**62
 
 
 def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
@@ -163,57 +174,164 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     k + m with k = floor(L*t[i]), so idx[i, m - 1] - (m - 1) is its window
     start.  A row at an exact grid point t = j/L reads sample j alone: idx
     is j in every column and the weight is a unit at column m - 1, which
-    keeps that window start.  The batched evaluators call it on one block of
-    kernel_blocks at a time.
+    keeps that window start.  A target with |t| >= 2**62/L lies beyond every
+    int64 sample index: its row has idx 0 and NaN weights, and the batched
+    evaluators reject it (_require_window) at its place in target order.
+    They call it on one block of KERNEL_BLOCK targets at a time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError("t must be one-dimensional")
     check_finite("targets", t)
     L, m = cfg.L, cfg.m
-    far = np.abs(t) >= 2.0**62 / L  # no int64 sample index reaches these
-    if far.any():
-        raise IndexOutOfRange(f"t = {float(t[np.argmax(far)])!r} lies beyond every sample index: |t| >= 2**62/L")
-    Lt = L * t
+    far = np.abs(t) >= _INDEX_LIMIT / L
+    tk = np.where(far, 0.0, t) if far.any() else t  # keeps the int64 cast from wrapping
+    Lt = L * tk
     k = np.floor(Lt)
     ongrid = Lt == k
     k = k.astype(np.int64)
     offs = np.arange(-m + 1, m + 1, dtype=np.int64)
     idx = k[:, None] + offs[None, :]
     x = idx / L
-    np.subtract(t[:, None], x, out=x)
+    np.subtract(tk[:, None], x, out=x)
     weights = psi(KernelEval(w, cfg), x)
     if ongrid.any():
         idx[ongrid] = k[ongrid, None]
         weights[ongrid] = 0.0
         weights[ongrid, m - 1] = 1.0
+    if tk is not t:
+        weights[far] = np.nan
     return idx, weights
+
+
+def _block_rows(n: int) -> list[slice]:
+    """The slices of n targets that make up the blocks, in order."""
+    return [slice(start, start + KERNEL_BLOCK) for start in range(0, n, KERNEL_BLOCK)]
 
 
 def kernel_blocks(w: WindowSpec, cfg: SamplingConfig, t):
     """kernel_matrix over consecutive blocks of KERNEL_BLOCK targets.
 
-    Yields (rows, (idx, weights)), where ``rows`` is the slice of
-    ``t`` the block covers.  Every batched evaluation (reconstruct_grid,
-    noise_response_max, bounds.noise_amplification) reduces the blocks as
-    they come, so no S x 2m array is ever held whole.
+    Yields (rows, (idx, weights)), where ``rows`` is the slice of ``t`` the
+    block covers: the blocks _map_blocks evaluates, one after the other.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError("t must be one-dimensional")
-    for start in range(0, t.size, KERNEL_BLOCK):
-        rows = slice(start, start + KERNEL_BLOCK)
+    for rows in _block_rows(t.size):
         yield rows, kernel_matrix(w, cfg, t[rows])
 
 
-def _require_covered(t, first, last, lo: int, hi: int, what: str) -> None:
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Narrowest window, in samples 2m, whose blocks run on threads.  A narrower
+# block makes numpy calls too short for two threads to repay the hand-offs
+# of the GIL between them.  On 2 cores, two threads took 1.06-1.21x the time
+# of one on the benchmark's fig10 cells at m = 2 and 0.67-0.86x at m = 5
+# and 8; on its fig6 cells 1.56x at m = 2 and 1.04x at m = 4.
+_THREADED_MIN_WIDTH = 10
+
+# The process's pool of usable_cpu_count() - 1 threads, which work beside
+# the calling thread.  It is made on first use, and each thread starts only
+# when a call has blocks for it.  A forked child never touches its parent's
+# pool: it evaluates its blocks inline, which also keeps a pool of N worker
+# processes at N busy threads.
+_pool = None
+_pool_lock = threading.Lock()
+_forked_child = False
+
+
+def _mark_forked_child() -> None:
+    global _forked_child
+    _forked_child = True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_mark_forked_child)
+
+
+def _block_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, usable_cpu_count() - 1), thread_name_prefix="regusamp-blocks")
+        return _pool
+
+
+def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
+    """reduce(rows, idx, weights) of every block of KERNEL_BLOCK targets,
+    where (idx, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
+
+    Every batched evaluation (reconstruct_grid, noise_response_max,
+    bounds.noise_amplification) goes through here.  With width =
+    min(blocks, usable_cpu_count()), the calling thread reduces blocks
+    0, width, 2*width, ... and width - 1 threads of the process's pool the
+    other residues.  A single block, a window of fewer than
+    _THREADED_MIN_WIDTH samples, or any call in a forked child runs on the
+    calling thread alone and starts no thread.  Each block is built and
+    reduced exactly as it would be alone, so the results do not depend on
+    the number of threads.  When blocks raise, the first of them in block
+    order raises here, as a loop over the blocks would.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("t must be one-dimensional")
+    blocks = _block_rows(t.size)
+    results = [None] * len(blocks)
+
+    def run(first, step):
+        # Each thread keeps a block's matrices until it has built its next
+        # ones, like a plain loop over kernel_blocks.  Freeing them first let
+        # the allocator return the memory to the system after every block and
+        # fault it in again: five times the page faults of a fig10 round.
+        for i in range(first, len(blocks), step):
+            try:
+                idx, weights = kernel_matrix(w, cfg, t[blocks[i]])
+                results[i] = reduce(blocks[i], idx, weights)
+            except Exception as exc:  # re-raised by the caller if no earlier block failed
+                return i, exc
+        return len(blocks), None
+
+    width = min(len(blocks), usable_cpu_count())
+    if width <= 1 or 2 * cfg.m < _THREADED_MIN_WIDTH or _forked_child:
+        stops = [run(0, 1)]
+    else:
+        pool = _block_pool()
+        futures = [pool.submit(run, first, width) for first in range(1, width)]
+        stops = [run(0, width), *(f.result() for f in futures)]
+    _, exc = min(stops, key=lambda stop: stop[0])
+    if exc is not None:
+        raise exc
+    return results
+
+
+def _require_window(cfg: SamplingConfig, t) -> None:
+    """Raise IndexOutOfRange naming the first target with |t| >= 2**62/L:
+    no int64 sample index reaches it, so it has no window."""
+    far = np.abs(t) >= _INDEX_LIMIT / cfg.L
+    if far.any():
+        raise IndexOutOfRange(f"t = {float(t[np.argmax(far)])!r} lies beyond every sample index: |t| >= 2**62/L")
+
+
+def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what: str) -> None:
     """Raise IndexOutOfRange unless every target's sample span first..last
     lies in lo..hi, naming the first target that leaves it; ``what`` names
-    the data covering lo..hi.  An on-grid row's span is its one sample."""
-    outside = (first < lo) | (last > hi)
+    the data covering lo..hi.  An on-grid row's span is its one sample, and
+    a target without a window (see _require_window) leaves every range."""
+    outside = (first < lo) | (last > hi) | (np.abs(t) >= _INDEX_LIMIT / cfg.L)
     if not outside.any():
         return
     i = int(np.argmax(outside))
+    _require_window(cfg, t[i:i + 1])
     a, b = int(first[i]), int(last[i])
     needs = f"needs sample index {a}" if a == b else f"requires samples for indices [{a}, {b}]"
     raise IndexOutOfRange(f"t = {float(t[i])!r} {needs}; {what} covers [{lo}, {hi}]")
@@ -223,16 +341,20 @@ def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """The localized reconstruction at every target of a 1-D array.
 
     This is the one evaluation path; reconstruct_at is its one-point call.
-    Each block of kernel_blocks is reduced into a preallocated output, so
-    the memory beyond that output does not grow with the number of targets.
-    Off-grid sums run in index order.  A block whose samples the set does
-    not cover raises IndexOutOfRange naming its first uncovered target.
+    Each block of _map_blocks is reduced into its slice of a preallocated
+    output, so the memory beyond that output does not grow with the number
+    of targets.  Off-grid sums run in index order.  A block whose samples
+    the set does not cover raises IndexOutOfRange naming its first
+    uncovered target, and the first such block raises.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
-    for rows, (idx, weights) in kernel_blocks(w, ss.cfg, t):
-        _require_covered(t[rows], idx[:, 0], idx[:, -1], ss.index_lo, ss.index_hi, "sample set")
+
+    def reduce(rows, idx, weights):
+        _require_covered(ss.cfg, t[rows], idx[:, 0], idx[:, -1], ss.index_lo, ss.index_hi, "sample set")
         np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights, out=out[rows])
+
+    _map_blocks(w, ss.cfg, t, reduce)
     return out
 
 
@@ -242,7 +364,7 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
     ``noise`` is a (trials, n) matrix whose row r perturbs the samples
     l = index_lo .. index_lo + n - 1.  Since R is linear, this is the largest
     deviation R(f~) - R(f) over all trials at once.  Within a block of
-    kernel_blocks consecutive rows that share a window start k - m + 1 read
+    _map_blocks consecutive rows that share a window start k - m + 1 read
     one slice of every trial's noise, so each run of such rows is a single
     matrix product weights[run] @ noise[:, s:s+2m].T (sorted targets make
     the runs long).  kernel_matrix puts an on-grid row's unit weight at
@@ -255,16 +377,19 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
         raise ValueError("noise must be a (trials, n) matrix")
     m2 = 2 * cfg.m
     index_hi = index_lo + noise.shape[1] - 1
-    worst = 0.0
-    for rows, (idx, weights) in kernel_blocks(w, cfg, t):
+
+    def reduce(rows, idx, weights):
         start = idx[:, cfg.m - 1] - (cfg.m - 1)
-        _require_covered(t[rows], start, start + (m2 - 1), index_lo, index_hi, "noise")
+        _require_covered(cfg, t[rows], start, start + (m2 - 1), index_lo, index_hi, "noise")
+        worst = 0.0
         edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
         for a, b in zip(edges[:-1], edges[1:]):
             s = start[a] - index_lo
             response = weights[a:b] @ noise[:, s:s + m2].T
             worst = max(worst, float(np.max(np.abs(response))))
-    return worst
+        return worst
+
+    return max(_map_blocks(w, cfg, t, reduce), default=0.0)
 
 
 def save_samples(ss: SampleSet, path) -> None:

@@ -16,7 +16,14 @@ import pytest
 
 import regusamp
 from regusamp import cli
-from regusamp.reconstruct import TestFunction, TestFunctionKind, reconstruct_grid, sample, save_samples
+from regusamp.reconstruct import (
+    TestFunction,
+    TestFunctionKind,
+    reconstruct_grid,
+    sample,
+    save_samples,
+    usable_cpu_count,
+)
 from regusamp.windows import SamplingConfig, WindowKind, default_params
 
 CFG = SamplingConfig(32, 1.0, 1 / 3, 4)
@@ -64,10 +71,10 @@ def sample_csv(tmp_path_factory):
 # (CFG) and plan file: which heavy modules each step has loaded, one JSON
 # object per step.
 IMPORT_PATH_PROBE = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, sys, threading
 root, samples, plan = sys.argv[1:]
 sys.path.insert(0, root)
-HEAVY = ("scipy.special", "scipy.integrate", "concurrent.futures.process")
+HEAVY = ("scipy.special", "scipy.integrate", "concurrent.futures.process", "concurrent.futures.thread")
 
 def loaded(step):
     print(json.dumps({"step": step, **{name: name in sys.modules for name in HEAVY}}))
@@ -81,6 +88,8 @@ loaded("import")
 flags = ("--N", "32", "--lambda", "1", "--tau", "1/3")
 for window in ("rect", "gauss", "bspline", "sinh"):
     run("reconstruct", "--samples", samples, *flags, "--m", "4", "--window", window, "--grid", "-1,1,21")
+assert threading.active_count() == 1, threading.enumerate()
+loaded("reconstruct")
 run("experiment", "--plan", plan, "--out", os.path.join(os.path.dirname(plan), "o.csv"), "--jobs", "1")
 loaded("reconstruct+experiment")
 run("bounds", *flags, "--window", "sinh", "--m", "2")
@@ -91,7 +100,9 @@ loaded("bounds")
 def test_import_path_loads_scipy_special_on_first_use(sample_csv, tmp_path):
     # Importing the package and reconstructing need numpy only: scipy.special
     # (erfc, J1, I1e) loads when bounds first needs it, scipy.integrate with
-    # the quadrature oracles and the process pool with jobs > 1.
+    # the quadrature oracles, the process pool with jobs > 1 and the thread
+    # pool with the first call of several kernel blocks; one block starts
+    # no thread.
     plan = tmp_path / "clean.plan"
     plan.write_text(PLAN_TEXT.replace("windows = gauss,sinh", "windows = rect,gauss,bspline,sinh"))
     env = dict(os.environ)
@@ -101,7 +112,8 @@ def test_import_path_loads_scipy_special_on_first_use(sample_csv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = {s.pop("step"): s for s in map(json.loads, proc.stdout.splitlines())}
     assert steps["import"] == {"scipy.special": False, "scipy.integrate": False,
-                               "concurrent.futures.process": False}
+                               "concurrent.futures.process": False, "concurrent.futures.thread": False}
+    assert steps["reconstruct"]["concurrent.futures.thread"] is False
     assert steps["reconstruct+experiment"]["scipy.special"] is False
     assert steps["bounds"]["scipy.special"] is True
 
@@ -249,6 +261,8 @@ def test_reconstruct_grid_output_is_reconstruct_grid(sample_csv):
     ("--grid=0.0078125,1.5078125,4", "t = 1.5078125 requires samples for indices [93, 100]; sample set covers [-68, 68]"),
     ("--at=2.0", "t = 2.0 needs sample index 128; sample set covers [-68, 68]"),
     ("--at=3e17", "t = 3e+17 lies beyond every sample index"),
+    ("--grid=1.5078125,3e17,2",  # the far second target does not hide the first
+     "t = 1.5078125 requires samples for indices [93, 100]; sample set covers [-68, 68]"),
 ])
 def test_reconstruct_exit_3_writes_no_rows(sample_csv, target, message):
     # The grid's first three targets are covered; none of their rows may appear.
@@ -491,6 +505,18 @@ def test_experiment_unwritable_out_exit_5(tmp_path):
     plan.write_text(PLAN_TEXT)
     proc = run_cli("experiment", "--plan", str(plan), "--out", str(tmp_path / "no/dir/o.csv"))
     assert proc.returncode == 5
+
+
+def test_jobs_default_counts_the_cpus_the_process_may_use(monkeypatch):
+    # In a container limited to a cpuset, os.cpu_count() also counts CPUs
+    # outside the process's affinity mask.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cli._build_parser.cache_clear()
+    try:
+        args = cli._build_parser().parse_args(["experiment", "--preset", "fig2", "--out", "o.csv"])
+    finally:
+        cli._build_parser.cache_clear()
+    assert args.jobs == usable_cpu_count() == 1
 
 
 def test_in_process_calls_repeat_fresh_processes(sample_csv, tmp_path):

@@ -1,10 +1,15 @@
 """Experiment harness: plan parsing, determinism, CSV contract, trends."""
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import regusamp
 import regusamp.harness as harness_mod
 from regusamp.bounds import e1_numeric, e2_numeric, noise_amplification, robustness_bound
 from regusamp.harness import (
@@ -20,6 +25,8 @@ from regusamp.harness import (
 )
 from regusamp.reconstruct import TestFunctionKind, _draw_noise, kernel_matrix
 from regusamp.windows import SamplingConfig, WindowKind, default_params
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(regusamp.__file__))
 
 SMALL_PLAN = ExperimentPlan(
     test_fn=TestFunctionKind.SINC_BAND,
@@ -145,6 +152,56 @@ def test_pool_capped_at_cell_count(monkeypatch):
     assert len(plan.cells()) == 2
     assert run_plan(plan, jobs=64) == run_plan(plan, jobs=1)
     assert requested == [2]
+
+
+# Run in a fresh interpreter with the package root as argument.  Cells of
+# three kernel blocks run on threads in this process, then in forked pool
+# workers; then a plain forked child must build every block on its one
+# thread.  Exit status 0 when all holds.
+FORK_PROBE = """
+import os, sys, threading
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import regusamp.reconstruct as rec
+from regusamp import SamplingConfig, default_params
+from regusamp.harness import ExperimentPlan, run_plan
+
+rec.usable_cpu_count = lambda: 2  # threads even on a one-CPU host
+plan = ExperimentPlan("sincband", 32, (5, 6), (1 / 3,), (1.0,), ("gauss",), S=3 * rec.KERNEL_BLOCK)
+assert run_plan(plan, jobs=1) == run_plan(plan, jobs=2)
+seen = set()
+real = rec.kernel_matrix
+
+def spy(*args):
+    seen.add(threading.get_ident())
+    return real(*args)
+
+rec.kernel_matrix = spy
+cfg = SamplingConfig(32, 1.0, 1 / 3, 5)
+ss = rec.sample(rec.TestFunction("sincband", cfg.delta), cfg, -cfg.L - 5, cfg.L + 5)
+t = np.linspace(-1.0, 1.0, 3 * rec.KERNEL_BLOCK)
+pid = os.fork()
+if pid == 0:
+    rec.reconstruct_grid(ss, default_params("gauss", cfg), t)
+    os._exit(0 if seen == {threading.get_ident()} else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, "a forked child ran blocks on other threads"
+"""
+
+
+def test_pool_workers_after_threaded_cells_finish():
+    # A forked child must never wait on a thread pool of its parent: this
+    # probe hangs when it does, so it runs under a timeout, in a session of
+    # its own that the timeout ends with the pool workers it forked.
+    proc = subprocess.Popen([sys.executable, "-c", FORK_PROBE, PACKAGE_ROOT], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the probe hung after forking pool workers")
+    assert proc.returncode == 0, err
 
 
 NOISY_PLAN = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=7, S=1001)

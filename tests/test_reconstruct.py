@@ -1,10 +1,15 @@
 """Reconstruction operator: interpolation, locality, linearity, noise."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import regusamp.reconstruct as reconstruct_mod
+from regusamp.bounds import noise_amplification
 from regusamp.kernel import KernelEval, NonFiniteInput, ft_window, psi
 from regusamp.reconstruct import (
     KERNEL_BLOCK,
@@ -244,6 +249,15 @@ def test_far_target_rejected_before_index_cast(t, message):
         reconstruct_grid(full_sample_set(), default_params(WindowKind.GAUSS, CFG), np.array([t]))
 
 
+def test_far_target_has_no_kernel_row_and_no_lebesgue_value():
+    # kernel_matrix leaves such a row without weights; every evaluator rejects it.
+    w = default_params(WindowKind.GAUSS, CFG)
+    idx, weights = kernel_matrix(w, CFG, np.array([0.25, 3e17]))
+    assert np.all(np.isfinite(weights[0])) and np.all(np.isnan(weights[1]))
+    with pytest.raises(IndexOutOfRange, match=r"t = 3e\+17 lies beyond every sample index"):
+        noise_amplification(w, CFG, np.array([0.25, 3e17]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_targets_rejected(bad):
     ss = full_sample_set()
@@ -327,6 +341,9 @@ def test_grid_out_of_range_in_last_block_only():
 @pytest.mark.parametrize("t,message", [
     ([0.0, 0.9, -0.8, 0.95], r"t = 0\.9 requires samples for indices \[226, 235\]; sample set covers \[-140, 140\]"),
     ([0.0, 0.75, 0.9], r"t = 0\.75 needs sample index 192; sample set covers \[-140, 140\]"),
+    # A target beyond every sample index is uncovered at its own place.
+    ([0.0, 0.9, 3e17], r"t = 0\.9 requires samples for indices \[226, 235\]; sample set covers \[-140, 140\]"),
+    ([0.0, -3e17, 0.9], r"t = -3e\+17 lies beyond every sample index: \|t\| >= 2\*\*62/L"),
 ])
 def test_grid_out_of_range_names_first_uncovered_target(t, message):
     ss = sample(F, CFG, -140, 140)
@@ -356,6 +373,8 @@ def test_noise_response_rejects_uncovered_windows():
     # An on-grid target reads its whole window here, unlike in reconstruct_grid.
     ([0.0, 0.75, -0.8, 0.7], r"t = 0\.75 requires samples for indices \[188, 197\]; noise covers \[-140, 140\]"),
     ([0.0, -0.6, 0.7], r"t = -0\.6 requires samples for indices \[-158, -149\]; noise covers \[-140, 140\]"),
+    ([0.0, -0.6, 1e308], r"t = -0\.6 requires samples for indices \[-158, -149\]; noise covers \[-140, 140\]"),
+    ([0.0, 1e308, -0.6], r"t = 1e\+308 lies beyond every sample index"),
 ])
 def test_noise_response_out_of_range_names_first_uncovered_target(t, message):
     w = default_params(WindowKind.GAUSS, CFG)
@@ -380,6 +399,114 @@ def test_noise_response_matches_gathered_sums():
     # On-grid targets alone echo their own noise sample, exactly.
     j = np.array([17, -3, 0, CFG.L])
     assert noise_response_max(w, CFG, j / CFG.L, lo, noise) == np.max(np.abs(noise[:, j - lo]))
+
+
+def serial_reductions(ss, w, t, noise):
+    """reconstruct_grid, noise_response_max and noise_amplification as one
+    loop over kernel_blocks, on the calling thread."""
+    cfg, lo, m = ss.cfg, ss.index_lo, ss.cfg.m
+    grid = np.empty(t.shape)
+    noise_max = lebesgue = 0.0
+    for rows, (idx, weights) in kernel_blocks(w, cfg, t):
+        grid[rows] = np.einsum("ij,ij->i", ss.values[idx - lo], weights)
+        start = idx[:, m - 1] - (m - 1)
+        edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
+        for a, b in zip(edges[:-1], edges[1:]):
+            s = start[a] - lo
+            response = weights[a:b] @ noise[:, s:s + 2 * m].T
+            noise_max = max(noise_max, float(np.max(np.abs(response))))
+        lebesgue = max(lebesgue, float(np.max(np.sum(np.abs(weights), axis=1))))
+    return grid, noise_max, lebesgue
+
+
+def spy_block_threads(monkeypatch):
+    """The threads that build kernel matrices from now on."""
+    seen = set()
+    real = reconstruct_mod.kernel_matrix
+
+    def spy(w, cfg, t):
+        seen.add(threading.get_ident())
+        return real(w, cfg, t)
+
+    monkeypatch.setattr(reconstruct_mod, "kernel_matrix", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind", list(WindowKind))
+def test_threaded_blocks_bit_equal_to_serial_loop(kind, monkeypatch):
+    # Three threads over four blocks, whatever the host's CPU count.
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    ss = full_sample_set()
+    w = default_params(kind, CFG)
+    rng = np.random.default_rng(17)
+    t = rng.uniform(-1.0, 1.0, 3 * KERNEL_BLOCK + 5)
+    # On-grid targets on both sides of two block edges.
+    t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
+    t[2 * KERNEL_BLOCK - 1:2 * KERNEL_BLOCK + 1] = [0.0, 1.0]
+    noise = rng.uniform(-1e-3, 1e-3, (5, len(ss)))
+    grid, noise_max, lebesgue = serial_reductions(ss, w, t, noise)
+    threads = spy_block_threads(monkeypatch)
+    assert reconstruct_grid(ss, w, t).tobytes() == grid.tobytes()
+    assert noise_response_max(w, CFG, t, ss.index_lo, noise) == noise_max
+    assert noise_amplification(w, CFG, t) == lebesgue
+    assert len(threads) > 1
+
+
+@pytest.mark.parametrize("cfg,S", [(CFG, KERNEL_BLOCK), (SamplingConfig(128, 1.0, 1 / 3, 2), 4 * KERNEL_BLOCK)])
+def test_one_block_or_narrow_window_runs_inline(cfg, S, monkeypatch):
+    # One block, or a window of 2m = 4 samples, starts no thread.
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    ss = full_sample_set(cfg)
+    threads = spy_block_threads(monkeypatch)
+    before = threading.active_count()
+    reconstruct_grid(ss, default_params(WindowKind.SINH, cfg), np.linspace(-1.0, 1.0, S))
+    assert threads == {threading.get_ident()}
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # Eight calls from four threads of their own, each three threads wide,
+    # with a short switch interval: each gets the one-thread result.
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    ss = full_sample_set()
+    w = default_params(WindowKind.SINH, CFG)
+    t = np.linspace(-1.0, 1.0, 4 * KERNEL_BLOCK + 3)
+    want = whole_array_grid(ss, w, t)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            calls = [callers.submit(reconstruct_grid, ss, w, t) for _ in range(8)]
+            got = [call.result(timeout=60) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, want) for g in got)
+
+
+def test_first_failing_block_raises_when_a_later_one_fails_first(monkeypatch):
+    # Blocks 1 and 3 of five leave the data; block 1 is held back until
+    # block 3 has failed, and its error must still be the one raised.
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    ss = sample(F, CFG, -140, 140)
+    w = default_params(WindowKind.GAUSS, CFG)
+    t = np.linspace(-0.5, 0.5, 5 * KERNEL_BLOCK)
+    t[KERNEL_BLOCK + 7] = 0.9
+    t[3 * KERNEL_BLOCK + 1] = -0.8
+    real = reconstruct_mod.kernel_matrix
+
+    def slow_block_1(w, cfg, targets):
+        if 0.9 in targets:
+            time.sleep(0.2)
+        return real(w, cfg, targets)
+
+    monkeypatch.setattr(reconstruct_mod, "kernel_matrix", slow_block_1)
+    with pytest.raises(IndexOutOfRange, match=r"t = 0\.9 requires"):
+        reconstruct_grid(ss, w, t)
+    noise = np.zeros((2, len(ss)))
+    with pytest.raises(IndexOutOfRange, match=r"t = 0\.9 requires"):
+        noise_response_max(w, CFG, t, ss.index_lo, noise)
 
 
 def test_grid_memory_does_not_grow_with_targets():
