@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .kernel import KernelEval, check_finite, ft_psi, ft_window, kernel_band_tail
-from .reconstruct import _map_blocks, _require_window
+from .reconstruct import _map_blocks, _require_covered
 from .windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 
@@ -126,20 +126,6 @@ def e2_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:
     return math.sqrt(2.0 * L) / (math.pi * m) * math.sqrt(boundary + tail)
 
 
-def e2_gauss_upper(w: WindowSpec, cfg: SamplingConfig) -> float:
-    """Closed upper estimate of the Gaussian E2:
-    sqrt(2L)/(pi*m) * sqrt((2m + L^2 sigma^2)/(2m)) * exp(-m^2/(2 L^2 sigma^2))."""
-    if w.kind is not WindowKind.GAUSS:
-        raise ValueError("only the Gaussian window has this E2 estimate")
-    L, m = cfg.L, cfg.m
-    s2 = w.sigma * w.sigma
-    return (
-        math.sqrt(2.0 * L) / (math.pi * m)
-        * math.sqrt((2.0 * m + L * L * s2) / (2.0 * m))
-        * math.exp(-m * m / (2.0 * L * L * s2))
-    )
-
-
 def rect_bound(cfg: SamplingConfig) -> float:
     """Uniform-error constant of the rect window: (L/pi)*sqrt(2/m + 1/m^2).
 
@@ -187,31 +173,14 @@ def bspline_bound(cfg: SamplingConfig) -> float | None:
     return 3.0 * math.sqrt(cfg.delta * s) / ((2 * s - 1) * math.pi) * math.exp(-m * rate)
 
 
-def sinh_bound(cfg: SamplingConfig, case_one: bool = False) -> float:
-    """Exponential uniform-error constant of the sinh window, for the beta
-    that default_params(SINH, cfg, case_one) picks.
+def sinh_bound(cfg: SamplingConfig) -> float:
+    """Exponential uniform-error constant of the sinh window with the beta
+    that default_params(SINH, cfg) picks:
 
-    Default:
-        3*sqrt(2*delta)*exp(-beta).
-    case_one (kept for comparison):
-        sqrt(beta*pi*delta) / ((1-2e^-beta)*(1-w0^2)^(1/4))
-          * exp(-beta*(1-sqrt(1-w0^2)))
-        + 2*sqrt(2*delta)/(1-e^-2beta) * exp(-beta),
-    with w0 = (1+lam-2*tau)/(1+lam+2*tau).  The default decays strictly
-    faster, which is why it is used everywhere.
+    3*sqrt(2*delta)*exp(-beta).
     """
-    lam, tau, delta = cfg.lam, cfg.tau, cfg.delta
-    beta = default_params(WindowKind.SINH, cfg, case_one).beta
-    if not case_one:
-        return 3.0 * math.sqrt(2.0 * delta) * math.exp(-beta)
-    w0 = (1.0 + lam - 2.0 * tau) / (1.0 + lam + 2.0 * tau)
-    first = (
-        math.sqrt(beta * math.pi * delta)
-        / ((1.0 - 2.0 * math.exp(-beta)) * (1.0 - w0 * w0) ** 0.25)
-        * math.exp(-beta * (1.0 - math.sqrt(1.0 - w0 * w0)))
-    )
-    second = 2.0 * math.sqrt(2.0 * delta) / (-math.expm1(-2.0 * beta)) * math.exp(-beta)
-    return first + second
+    beta = default_params(WindowKind.SINH, cfg).beta
+    return 3.0 * math.sqrt(2.0 * cfg.delta) * math.exp(-beta)
 
 
 _CLOSED_FORMS = {
@@ -300,7 +269,8 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
         raise ValueError("need at least one target")
 
     def reduce(rows, idx, weights):
-        _require_window(cfg, t[rows])
+        # Every int64 index is in range, so only a target without a window raises.
+        _require_covered(cfg, t[rows], idx[:, 0], idx[:, -1], -2**63, 2**63 - 1, "int64")
         return float(np.max(np.sum(np.abs(weights), axis=1)))
 
     return max(_map_blocks(w, cfg, t, reduce))

@@ -33,7 +33,6 @@ from .reconstruct import (
     TestFunction,
     TestFunctionKind,
     load_samples,
-    reconstruct_at,
     reconstruct_grid,
     sample,
     usable_cpu_count,
@@ -228,13 +227,10 @@ def _cmd_selftest(_args) -> int:
     cfg = SamplingConfig(32, 1.0, 1 / 3, 4)
     f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
     ss = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
+    on_grid = np.array([-5, 0, 7]) / cfg.L
     interp_ok = True
     for kind in WindowKind:
-        w = default_params(kind, cfg)
-        for ell in (-5, 0, 7):
-            got = reconstruct_at(ss, w, ell / cfg.L)
-            want = float(f(ell / cfg.L))
-            interp_ok &= got == want
+        interp_ok &= np.array_equal(reconstruct_grid(ss, default_params(kind, cfg), on_grid), f(on_grid))
     check("interpolation property on the grid", interp_ok)
 
     ft_ok = True

@@ -176,7 +176,7 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     is j in every column and the weight is a unit at column m - 1, which
     keeps that window start.  A target with |t| >= 2**62/L lies beyond every
     int64 sample index: its row has idx 0 and NaN weights, and the batched
-    evaluators reject it (_require_window) at its place in target order.
+    evaluators reject it (_require_covered) at its place in target order.
     They call it on one block of KERNEL_BLOCK targets at a time.
     """
     t = np.asarray(t, dtype=float)
@@ -207,19 +207,6 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
 def _block_rows(n: int) -> list[slice]:
     """The slices of n targets that make up the blocks, in order."""
     return [slice(start, start + KERNEL_BLOCK) for start in range(0, n, KERNEL_BLOCK)]
-
-
-def kernel_blocks(w: WindowSpec, cfg: SamplingConfig, t):
-    """kernel_matrix over consecutive blocks of KERNEL_BLOCK targets.
-
-    Yields (rows, (idx, weights)), where ``rows`` is the slice of ``t`` the
-    block covers: the blocks _map_blocks evaluates, one after the other.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise ValueError("t must be one-dimensional")
-    for rows in _block_rows(t.size):
-        yield rows, kernel_matrix(w, cfg, t[rows])
 
 
 def usable_cpu_count() -> int:
@@ -290,7 +277,7 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
 
     def run(first, step):
         # Each thread keeps a block's matrices until it has built its next
-        # ones, like a plain loop over kernel_blocks.  Freeing them first let
+        # ones, like a plain loop over the blocks.  Freeing them first let
         # the allocator return the memory to the system after every block and
         # fault it in again: five times the page faults of a fig10 round.
         for i in range(first, len(blocks), step):
@@ -314,24 +301,19 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     return results
 
 
-def _require_window(cfg: SamplingConfig, t) -> None:
-    """Raise IndexOutOfRange naming the first target with |t| >= 2**62/L:
-    no int64 sample index reaches it, so it has no window."""
-    far = np.abs(t) >= _INDEX_LIMIT / cfg.L
-    if far.any():
-        raise IndexOutOfRange(f"t = {float(t[np.argmax(far)])!r} lies beyond every sample index: |t| >= 2**62/L")
-
-
 def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what: str) -> None:
     """Raise IndexOutOfRange unless every target's sample span first..last
     lies in lo..hi, naming the first target that leaves it; ``what`` names
-    the data covering lo..hi.  An on-grid row's span is its one sample, and
-    a target without a window (see _require_window) leaves every range."""
-    outside = (first < lo) | (last > hi) | (np.abs(t) >= _INDEX_LIMIT / cfg.L)
+    the data covering lo..hi.  An on-grid row's span is its one sample.  A
+    target with |t| >= 2**62/L has no window, since no int64 sample index
+    reaches it, so it leaves every range."""
+    far = np.abs(t) >= _INDEX_LIMIT / cfg.L
+    outside = (first < lo) | (last > hi) | far
     if not outside.any():
         return
     i = int(np.argmax(outside))
-    _require_window(cfg, t[i:i + 1])
+    if far[i]:
+        raise IndexOutOfRange(f"t = {float(t[i])!r} lies beyond every sample index: |t| >= 2**62/L")
     a, b = int(first[i]), int(last[i])
     needs = f"needs sample index {a}" if a == b else f"requires samples for indices [{a}, {b}]"
     raise IndexOutOfRange(f"t = {float(t[i])!r} {needs}; {what} covers [{lo}, {hi}]")
@@ -390,14 +372,6 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
         return worst
 
     return max(_map_blocks(w, cfg, t, reduce), default=0.0)
-
-
-def save_samples(ss: SampleSet, path) -> None:
-    """Write the clean samples as CSV with header ``index,value``."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("index,value\n")
-        for ell, val in zip(range(ss.index_lo, ss.index_hi + 1), ss.values):
-            fh.write(f"{ell},{val:.17g}\n")
 
 
 def load_samples(path, cfg: SamplingConfig) -> SampleSet:

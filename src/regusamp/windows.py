@@ -139,7 +139,7 @@ class WindowSpec:
             raise InvalidConfig(f"beta must be finite and > 0, got {self.beta!r}")
 
 
-def default_params(kind, cfg: SamplingConfig, case_one: bool = False) -> WindowSpec:
+def default_params(kind, cfg: SamplingConfig) -> WindowSpec:
     """WindowSpec with the shape parameter set to its proven default.
 
     Gaussian: sigma = sqrt(m / (pi*L*(L - 2*delta))), which balances the
@@ -147,8 +147,6 @@ def default_params(kind, cfg: SamplingConfig, case_one: bool = False) -> WindowS
     B-spline: s = ceil((m+1)/2), making the polynomial decay order at least m.
     Sinh: beta = pi*m*(1+lam-2*tau)/(1+lam); this is the faster-decaying of
     the two admissible choices and the one used throughout the experiments.
-    With ``case_one`` the alternative beta = pi*m*(1+lam+2*tau)/(1+lam) is
-    selected instead, for bound-comparison runs.
     """
     kind = WindowKind(kind)
     if kind is WindowKind.RECT:
@@ -159,8 +157,7 @@ def default_params(kind, cfg: SamplingConfig, case_one: bool = False) -> WindowS
         return WindowSpec(kind, sigma=sigma)
     if kind is WindowKind.BSPLINE:
         return WindowSpec(kind, s=(cfg.m + 2) // 2)  # ceil((m+1)/2)
-    sign = +2.0 if case_one else -2.0
-    beta = math.pi * cfg.m * (1.0 + cfg.lam + sign * cfg.tau) / (1.0 + cfg.lam)
+    beta = math.pi * cfg.m * (1.0 + cfg.lam - 2.0 * cfg.tau) / (1.0 + cfg.lam)
     return WindowSpec(WindowKind.SINH, beta=beta)
 
 

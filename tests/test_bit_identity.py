@@ -15,7 +15,7 @@ import pytest
 
 from regusamp import specfun
 from regusamp.kernel import sinc
-from regusamp.reconstruct import KERNEL_BLOCK, kernel_blocks, kernel_matrix
+from regusamp.reconstruct import KERNEL_BLOCK, _block_rows, kernel_matrix
 from regusamp.windows import (
     SamplingConfig,
     WindowKind,
@@ -164,10 +164,10 @@ def test_kernel_matrix_bits(cfg, kind):
     idx, weights = kernel_matrix(w, cfg, t)
     assert np.array_equal(idx, want_idx) and idx.dtype == want_idx.dtype
     assert_same_bits(weights, want_w)
-    blocks = list(kernel_blocks(w, cfg, t))
+    blocks = [kernel_matrix(w, cfg, t[rows]) for rows in _block_rows(t.size)]
     assert len(blocks) == 2
-    assert np.array_equal(np.concatenate([b[1][0] for b in blocks]), want_idx)
-    assert_same_bits(np.concatenate([b[1][1] for b in blocks]), want_w)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_idx)
+    assert_same_bits(np.concatenate([b[1] for b in blocks]), want_w)
     one_idx, one_w = kernel_matrix(w, cfg, t[KERNEL_BLOCK:KERNEL_BLOCK + 1])
     assert np.array_equal(one_idx, want_idx[KERNEL_BLOCK:KERNEL_BLOCK + 1])
     assert_same_bits(one_w, want_w[KERNEL_BLOCK:KERNEL_BLOCK + 1])

@@ -12,7 +12,6 @@ from regusamp.bounds import (
     closed_form_bound,
     compute_report,
     e1_numeric,
-    e2_gauss_upper,
     e2_numeric,
     eta,
     gauss_bound,
@@ -27,8 +26,14 @@ from regusamp.windows import SamplingConfig, WindowKind, WindowSpec, default_par
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 
 
-def spec_for(kind, cfg=CFG, **kw):
-    return default_params(kind, cfg, **kw)
+def spec_for(kind, cfg=CFG):
+    return default_params(kind, cfg)
+
+
+def case_one_sinh(cfg):
+    """The sinh window with the paper's other admissible beta ("case one"),
+    pi*m*(1+lam+2*tau)/(1+lam), which decays more slowly than the default."""
+    return WindowSpec(WindowKind.SINH, beta=math.pi * cfg.m * (1.0 + cfg.lam + 2.0 * cfg.tau) / (1.0 + cfg.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +88,7 @@ def test_eta_sinh_against_band_quadrature():
 def test_eta_sinh_case_one_branch():
     # Case-1 beta puts the band edge inside the I1 region of the transform;
     # the tail's I1 branch must still match direct band quadrature.
-    w = spec_for(WindowKind.SINH, case_one=True)
+    w = case_one_sinh(CFG)
     v = CFG.delta
     band = specfun.integrate(
         lambda u: float(ft_window(w, CFG, u)),
@@ -151,7 +156,14 @@ def test_e2_gauss_closed_form_and_upper_estimate():
     phi_m = float(eval_window(w, CFG, CFG.m / CFG.L))
     brute = math.sqrt(2.0 * CFG.L) / (math.pi * CFG.m) * math.sqrt(phi_m**2 + CFG.L * tail)
     assert val == pytest.approx(brute, rel=1e-10)
-    assert val <= e2_gauss_upper(w, CFG)
+    # The paper's closed upper estimate of the Gaussian E2.
+    L, m, s2 = CFG.L, CFG.m, w.sigma * w.sigma
+    upper = (
+        math.sqrt(2.0 * L) / (math.pi * m)
+        * math.sqrt((2.0 * m + L * L * s2) / (2.0 * m))
+        * math.exp(-m * m / (2.0 * L * L * s2))
+    )
+    assert val <= upper
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +240,32 @@ def test_sinh_bound_fixture():
     assert sinh_bound(cfg) == pytest.approx(want, rel=1e-14)
 
 
+def sinh_case_one_bound(cfg):
+    """The paper's uniform-error constant of case_one_sinh(cfg):
+
+    sqrt(beta*pi*delta) / ((1-2e^-beta)*(1-w0^2)^(1/4)) * exp(-beta*(1-sqrt(1-w0^2)))
+      + 2*sqrt(2*delta)/(1-e^-2beta) * exp(-beta),
+
+    with w0 = (1+lam-2*tau)/(1+lam+2*tau).
+    """
+    lam, tau, delta = cfg.lam, cfg.tau, cfg.delta
+    beta = case_one_sinh(cfg).beta
+    w0 = (1.0 + lam - 2.0 * tau) / (1.0 + lam + 2.0 * tau)
+    first = (
+        math.sqrt(beta * math.pi * delta)
+        / ((1.0 - 2.0 * math.exp(-beta)) * (1.0 - w0 * w0) ** 0.25)
+        * math.exp(-beta * (1.0 - math.sqrt(1.0 - w0 * w0)))
+    )
+    second = 2.0 * math.sqrt(2.0 * delta) / (-math.expm1(-2.0 * beta)) * math.exp(-beta)
+    return first + second
+
+
 def test_sinh_case_two_beats_case_one():
     for tau in (1 / 20, 1 / 4, 9 / 20):
         for lam in (0.0, 0.5, 1.0, 2.0):
             for m in range(2, 11):
                 cfg = SamplingConfig(128, lam, tau, m)
-                assert sinh_bound(cfg) < sinh_bound(cfg, case_one=True)
+                assert sinh_bound(cfg) < sinh_case_one_bound(cfg)
 
 
 def test_sinh_bound_dominates_numeric_constant():

@@ -21,10 +21,10 @@ from regusamp.reconstruct import (
     TestFunctionKind,
     reconstruct_grid,
     sample,
-    save_samples,
     usable_cpu_count,
 )
 from regusamp.windows import SamplingConfig, WindowKind, default_params
+from samples_io import save_samples
 
 CFG = SamplingConfig(32, 1.0, 1 / 3, 4)
 # The CLI subprocess imports the package the tests imported, installed or not.

@@ -19,13 +19,13 @@ from regusamp.kernel import (
     sinc,
     tail_bound,
 )
-from regusamp.windows import SamplingConfig, WindowKind, default_params
+from regusamp.windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 
 
-def kernel_for(kind, cfg=CFG, **kw):
-    return KernelEval(default_params(kind, cfg, **kw), cfg)
+def kernel_for(kind, cfg=CFG):
+    return KernelEval(default_params(kind, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,9 @@ def test_band_quantities_against_mpmath(kind, case_one):
     mp = pytest.importorskip("mpmath")
     from regusamp.bounds import eta
 
-    k = kernel_for(kind, case_one=case_one)
+    k = kernel_for(kind)
+    if case_one:  # the paper's other admissible sinh beta, pi*m*(1+lam+2*tau)/(1+lam)
+        k = KernelEval(WindowSpec(kind, beta=math.pi * CFG.m * (1.0 + CFG.lam + 2.0 * CFG.tau) / (1.0 + CFG.lam)), CFG)
     L, d = CFG.L, CFG.delta
     freqs = [0.0, -d / 2, d, 0.45 * L, -0.5 * L, 0.55 * L]
     freqs += [j * L + off for j in (1, 2, 3) for off in (-d, d / 3)]

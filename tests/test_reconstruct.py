@@ -17,8 +17,8 @@ from regusamp.reconstruct import (
     SampleSet,
     TestFunction,
     TestFunctionKind,
+    _block_rows,
     _draw_noise,
-    kernel_blocks,
     kernel_matrix,
     load_samples,
     noise_response_max,
@@ -26,9 +26,9 @@ from regusamp.reconstruct import (
     reconstruct_at,
     reconstruct_grid,
     sample,
-    save_samples,
 )
 from regusamp.windows import SamplingConfig, WindowKind, WindowSpec, default_params
+from samples_io import save_samples
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 F = TestFunction(TestFunctionKind.SINC_BAND, delta=CFG.delta)
@@ -304,10 +304,9 @@ def whole_array_grid(ss, w, t):
 
 def test_kernel_blocks_tile_the_targets():
     t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
-    blocks = list(kernel_blocks(default_params(WindowKind.GAUSS, CFG), CFG, t))
-    assert [(rows.start, len(idx)) for rows, (idx, _) in blocks] == [
+    assert [(rows.start, len(t[rows])) for rows in _block_rows(t.size)] == [
         (0, KERNEL_BLOCK), (KERNEL_BLOCK, KERNEL_BLOCK), (2 * KERNEL_BLOCK, 1)]
-    assert list(kernel_blocks(default_params(WindowKind.GAUSS, CFG), CFG, np.array([]))) == []
+    assert _block_rows(0) == []
 
 
 @pytest.mark.parametrize("kind", [WindowKind.GAUSS, WindowKind.BSPLINE, WindowKind.SINH])
@@ -403,11 +402,12 @@ def test_noise_response_matches_gathered_sums():
 
 def serial_reductions(ss, w, t, noise):
     """reconstruct_grid, noise_response_max and noise_amplification as one
-    loop over kernel_blocks, on the calling thread."""
+    loop over the blocks, on the calling thread."""
     cfg, lo, m = ss.cfg, ss.index_lo, ss.cfg.m
     grid = np.empty(t.shape)
     noise_max = lebesgue = 0.0
-    for rows, (idx, weights) in kernel_blocks(w, cfg, t):
+    for rows in _block_rows(t.size):
+        idx, weights = kernel_matrix(w, cfg, t[rows])
         grid[rows] = np.einsum("ij,ij->i", ss.values[idx - lo], weights)
         start = idx[:, m - 1] - (m - 1)
         edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]

@@ -122,7 +122,8 @@ def test_default_bspline_half_order():
 
 def test_default_sinh_beta_cases():
     cfg = SamplingConfig(128, 1.0, 3 / 8, 5)
-    case1 = default_params(WindowKind.SINH, cfg, case_one=True)
+    # The paper's other admissible beta ("case one"), pi*m*(1+lam+2*tau)/(1+lam).
+    case1 = WindowSpec(WindowKind.SINH, beta=math.pi * cfg.m * (1.0 + cfg.lam + 2.0 * cfg.tau) / (1.0 + cfg.lam))
     assert abs(case1.beta - 55.0 * math.pi / 8.0) <= 1e-12
     case2 = default_params(WindowKind.SINH, cfg)
     assert abs(case2.beta - math.pi * 5 * (2 - 3 / 4) / 2) <= 1e-12
