@@ -21,7 +21,8 @@ Every band integral here is a difference of one window-transform tail
 T(x) = int_x^inf phihat(u) du (kernel.kernel_band_tail).  Because phihat
 integrates to phi(0) = 1, eta(v) = T(L/2-v) + T(L/2+v) with no cancellation
 against 1, and the image-band terms of the alias-aware E1 are the band
-integrals L*psihat(v) = T(v-L/2) - T(v+L/2) at v near jL.
+integrals L*psihat(v) = T(v-L/2) - T(v+L/2) at v near jL.  E1 is found at
+the zeros of eta' that a grid brackets, so a pair inside one cell is missed.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ def eta(w: WindowSpec, cfg: SamplingConfig, v):
     return out if np.ndim(v) else float(out[0])
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Uniform search points of e1_numeric on [0, delta]; image bands of
+# Uniform nodes of eta' in e1_numeric on [0, delta]; image bands of
 # e1_alias_aware and the points on each band.
 _E1_GRID_POINTS = 4097
 _ALIAS_BANDS = 3
@@ -65,29 +64,38 @@ _ALIAS_GRID_POINTS = 129
 
 
 def e1_numeric(w: WindowSpec, cfg: SamplingConfig) -> float:
-    """E1 = sqrt(2*delta) * max |eta| over [-delta, delta], numerically.
+    """E1 = sqrt(2*delta) * max |eta| over [-delta, delta].
 
-    Evenness halves the search to [0, delta]; a uniform grid locates the
-    maximum (typically at v = delta) and three golden-section iterations
-    around the grid argmax guard against an interior peak, each evaluating
-    its pair of points in one eta call.
+    eta is even and eta'(v) = phihat(L/2-v) - phihat(L/2+v), so |eta| peaks
+    on [0, delta] at 0, at delta or at a zero of eta'.  One ft_window pass
+    gives eta' on _E1_GRID_POINTS nodes; exact zeros are candidates, and
+    Illinois regula falsi refines all strict sign changes at once until no
+    step moves by 2^-26 of a cell (at most 64 steps).  Its halving only
+    flattens the secant, so a step bounds the distance to the zero, where
+    eta is flat to second order: the loss is at most 2^-50 of what a peak
+    inside the cell could lose.  One eta call on the candidates gives the
+    maximum.  Two zeros of eta' in one cell make no sign change and are
+    missed, losing at most the dip of |eta| between them.
     """
-    grid = np.linspace(0.0, cfg.delta, _E1_GRID_POINTS)
-    vals = np.abs(eta(w, cfg, grid))
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, _E1_GRID_POINTS - 1)]
-    for _ in range(3):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = np.abs(eta(w, cfg, np.array([c, d]))).tolist()
-        best = max(best, fc, fd)
-        if fc > fd:
-            b = d
-        else:
-            a = c
-    return math.sqrt(2.0 * cfg.delta) * best
+    half, delta = cfg.L / 2.0, cfg.delta
+
+    def deta(v):
+        phi = ft_window(w, cfg, np.concatenate([half - v, half + v]))
+        return phi[: v.size] - phi[v.size :]
+
+    grid = np.linspace(0.0, delta, _E1_GRID_POINTS)
+    g = deta(grid)
+    i = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
+    a, fa, b, fb = grid[i], g[i], grid[i + 1], g[i + 1]  # b: latest estimate; a: kept end
+    for _ in range(64):
+        c = b - fb * (b - a) / (fb - fa)
+        if not np.any(np.abs(c - b) > grid[1] * 2.0**-26):
+            break
+        fc = deta(c)
+        flip = np.sign(fc) != np.sign(fb)
+        a, fa, b, fb = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa), c, fc
+    peaks = np.abs(eta(w, cfg, np.concatenate([[0.0, delta], grid[g == 0.0], c])))
+    return math.sqrt(2.0 * delta) * float(peaks.max())
 
 
 def e1_alias_aware(w: WindowSpec, cfg: SamplingConfig) -> float:
@@ -278,19 +286,22 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All error constants of one (window, config) cell."""
+    """All error constants of one (window, config) cell; robustness is robust.value."""
 
     e1: float
     e2: float
     closed_form: float | None
-    robustness: float
+    robust: RobustnessBound
     eta_max: float
+
+    @property
+    def robustness(self) -> float:
+        return self.robust.value
 
 
 def compute_report(w: WindowSpec, cfg: SamplingConfig, eps: float = 1e-3) -> BoundReport:
     """Evaluate E1, E2, the closed-form constant (None where closed_form_bound
-    gives none) and the robustness bound (specialized where it exists, else generic)."""
-    robust = robustness_bound(w, cfg, eps).value
+    gives none) and both robustness bounds."""
+    robust = robustness_bound(w, cfg, eps)
     e1 = e1_numeric(w, cfg)
-    closed = closed_form_bound(w, cfg)
-    return BoundReport(e1, e2_numeric(w, cfg), closed, robust, e1 / math.sqrt(2.0 * cfg.delta))
+    return BoundReport(e1, e2_numeric(w, cfg), closed_form_bound(w, cfg), robust, e1 / math.sqrt(2.0 * cfg.delta))

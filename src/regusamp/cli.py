@@ -150,12 +150,11 @@ def _cmd_bounds(args) -> int:
         cfg = SamplingConfig(args.N, args.lam, args.tau, m)
         w = _window_from_flags(args, cfg)
         rep = bounds_mod.compute_report(w, cfg, eps=args.eps)
-        rb = bounds_mod.robustness_bound(w, cfg, args.eps)
         closed = f"{rep.closed_form:.17g}" if rep.closed_form is not None else "NA"
-        special = f"{rb.specialized:.17g}" if rb.specialized is not None else "NA"
+        special = f"{rep.robust.specialized:.17g}" if rep.robust.specialized is not None else "NA"
         rows.append(
             f"{w.kind.value},{m},{cfg.tau:.17g},{cfg.lam:.17g},{rep.e1:.17g},"
-            f"{rep.e2:.17g},{closed},{rb.generic:.17g},{special},{rep.eta_max:.17g}\n"
+            f"{rep.e2:.17g},{closed},{rep.robust.generic:.17g},{special},{rep.eta_max:.17g}\n"
         )
     sys.stdout.write("".join(rows))
     return EXIT_OK

@@ -24,6 +24,7 @@ measure the error and its bound, and makes the one bound check, so ``jobs``
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -268,16 +269,8 @@ def parse_plan(text: str) -> ExperimentPlan:
 def load_plans(path) -> list[ExperimentPlan]:
     """Plans from a plain-text file; blocks separated by ``---`` lines."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    blocks = []
-    current: list[str] = []
-    for line in text.splitlines():
-        if line.strip() == "---":
-            blocks.append("\n".join(current))
-            current = []
-        else:
-            current.append(line)
-    blocks.append("\n".join(current))
+        runs = itertools.groupby(fh.read().splitlines(), key=lambda line: line.strip() == "---")
+    blocks = ["\n".join(lines) for is_rule, lines in runs if not is_rule]
     plans = [parse_plan(b) for b in blocks if b.strip()]
     if not plans:
         raise ValueError(f"no plans found in {path}")

@@ -118,15 +118,12 @@ def ft_window(w: WindowSpec, cfg: SamplingConfig, v):
         # pref = pi*m*beta/(L*sinh(beta)), written overflow-free
         pref = 2.0 * math.pi * m * beta * math.exp(-beta) / (L * (-math.expm1(-2.0 * beta)))
         prefe = 2.0 * math.pi * m * beta / (L * (-math.expm1(-2.0 * beta)))
-        xj = np.sqrt(np.clip(x2, 0.0, None))
-        xi = np.sqrt(np.clip(-x2, 0.0, None))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            bj = np.where(xj > 0, specfun.bessel_j1(xj) / np.where(xj > 0, xj, 1.0), 0.5)
-            # I1(x)/x * e^{-beta} = i1e(x) * e^{x-beta} / x
-            bi = np.where(xi > 0, specfun.bessel_i1_scaled(xi) * np.exp(xi - beta) / np.where(xi > 0, xi, 1.0), 0.5 * math.exp(-beta))
-        out = np.where(x2 >= 0, pref * bj, prefe * bi)
-        near = np.abs(x2) < 1e-10
-        out = np.where(near, pref * 0.5, out)
+        out = np.full(v.shape, pref * 0.5)  # the limit, kept where |x2| < 1e-10
+        j, i = x2 >= 1e-10, x2 <= -1e-10  # each Bessel branch only where it applies
+        xj, xi = np.sqrt(x2[j]), np.sqrt(-x2[i])
+        out[j] = pref * (specfun.bessel_j1(xj) / xj)
+        # I1(x)/x * e^{-beta} = i1e(x) * e^{x-beta} / x
+        out[i] = prefe * (specfun.bessel_i1_scaled(xi) * np.exp(xi - beta) / xi)
     return float(out[0]) if scalar else out
 
 

@@ -368,7 +368,7 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
         for a, b in zip(edges[:-1], edges[1:]):
             s = start[a] - index_lo
             response = weights[a:b] @ noise[:, s:s + m2].T
-            worst = max(worst, float(np.max(np.abs(response))))
+            worst = max(worst, float(response.max()), -float(response.min()))
         return worst
 
     return max(_map_blocks(w, cfg, t, reduce), default=0.0)

@@ -247,8 +247,8 @@ def gl_cumulative(f, nodes, max_width):
     caller picks ``max_width`` so that the 15-point rule resolves a full
     panel, omega*max_width <= theta_15.  A panel narrower than
     max_width*theta_5/theta_15 (max_width/31.6) then has omega*h <= theta_5,
-    so 5 points meet the same bound; wider panels get 15.  The dense E1
-    grids give gaps of about max_width/1000.
+    so 5 points meet the same bound; wider panels get 15.  eta on a
+    4097-point grid of the band gives gaps of about max_width/1000.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from regusamp import specfun
+from regusamp import bounds, specfun
 from regusamp.bounds import (
+    _E1_GRID_POINTS,
     bspline_bound,
     bspline_condition_ok,
     closed_form_bound,
@@ -137,6 +138,64 @@ def test_e1_improves_with_oversampling():
     assert e1_numeric(default_params(WindowKind.GAUSS, hi), hi) < e1_numeric(
         default_params(WindowKind.GAUSS, lo), lo
     )
+
+
+def test_e1_rect_interior_peak_against_mpmath():
+    # rect |eta| at m = 5 peaks inside the band, at v = 25.6, where L/2 -+ v
+    # sit on the sinc zeros 4*pi and 6*pi of phihat, so eta'(v) = 0 exactly.
+    # eta(v) = 1 - (Si(a*(v+L/2)) - Si(a*(v-L/2)))/pi with a = 2*pi*m/L.  A
+    # grid of eta with three golden-section steps read 1.35e-8 low here.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, v, half = 2 * mp.pi * CFG.m / CFG.L, mp.mpf(128) / 5, mp.mpf(CFG.L) / 2
+        peak = mp.sqrt(2 * mp.mpf(CFG.delta)) * abs(1 - (mp.si(a * (v + half)) - mp.si(a * (v - half))) / mp.pi)
+    assert float(peak) == pytest.approx(0.38636384046774156, rel=1e-16)
+    assert e1_numeric(spec_for(WindowKind.RECT), CFG) == pytest.approx(float(peak), rel=1e-15)
+
+
+def test_e1_bspline_edge_peak_against_mpmath():
+    # The B-spline |eta| at m = 5 peaks at the band edge v = delta: a 30-digit
+    # band integral of the closed-form phihat, split at the zeros of its sinc
+    # power, against e1_numeric and the largest |eta| on a dense grid, to
+    # eta's rounding level 1e-15.
+    mp = pytest.importorskip("mpmath")
+    w = spec_for(WindowKind.BSPLINE)
+    s, L, m = w.s, CFG.L, CFG.m
+    with mp.workdps(30):
+        num = sum((-1) ** j * math.comb(2 * s, j) * (s - j) ** (2 * s - 1) for j in range(s))
+        m0 = mp.mpf(num) / math.factorial(2 * s - 1)  # M_{2s}(0)
+        a, b, zero = mp.mpf(CFG.delta) - L / 2, mp.mpf(CFG.delta) + L / 2, mp.mpf(s * L) / m
+        pts = [a] + [k * zero for k in range(int(mp.floor(a / zero)) + 1, int(mp.ceil(b / zero)))] + [b]
+        edge = abs(float(1 - mp.quad(lambda u: m / (s * L * m0) * mp.sinc(mp.pi * u / zero) ** (2 * s), pts)))
+    assert np.max(np.abs(eta(w, CFG, np.linspace(0.0, CFG.delta, 4097)))) <= edge + 1e-15
+    assert e1_numeric(w, CFG) / math.sqrt(2.0 * CFG.delta) == pytest.approx(edge, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(WindowKind))
+def test_e1_never_below_the_eta_grid(kind):
+    # The stationary-point search against the grid of eta it replaced: never
+    # lower than the largest |eta| on the _E1_GRID_POINTS grid, up to eta's
+    # rounding level 1e-15 (absolute).
+    for tau in (1 / 20, 1 / 4, 1 / 3, 9 / 20):
+        for lam in (0.0, 0.5, 2.0):
+            for m in range(2, 11):
+                cfg = SamplingConfig(128, lam, tau, m)
+                w = default_params(kind, cfg)
+                grid_max = np.max(np.abs(eta(w, cfg, np.linspace(0.0, cfg.delta, _E1_GRID_POINTS))))
+                assert e1_numeric(w, cfg) >= math.sqrt(2.0 * cfg.delta) * (grid_max - 1e-15), (tau, lam, m)
+
+
+@pytest.mark.parametrize("kind", list(WindowKind))
+def test_e1_makes_one_eta_call_off_the_grid(kind, monkeypatch):
+    sizes = []
+
+    def counted(w, cfg, v):
+        sizes.append(np.size(v))
+        return eta(w, cfg, v)
+
+    monkeypatch.setattr(bounds, "eta", counted)
+    e1_numeric(spec_for(kind), CFG)
+    assert len(sizes) == 1 and sizes[0] < _E1_GRID_POINTS
 
 
 def test_e2_zero_for_compact_windows():
@@ -421,6 +480,8 @@ def test_compute_report_fields():
     assert rep.closed_form == sinh_bound(CFG)
     assert rep.eta_max == pytest.approx(rep.e1 / math.sqrt(2.0 * CFG.delta), rel=1e-15)
     assert rep.robustness > 0
+    assert rep.robust == robustness_bound(spec_for(WindowKind.SINH), CFG, 1e-3)
+    assert rep.robustness == rep.robust.value
 
 
 @pytest.mark.parametrize("w,cfg", [

@@ -342,6 +342,18 @@ def test_bounds_bad_m_writes_no_rows():
     assert "m must be an integer >= 2, got 0" in proc.stderr
 
 
+def test_bounds_evaluates_robustness_once_per_row(monkeypatch):
+    # compute_report keeps both robustness columns, so the CLI reads them
+    # from the report instead of evaluating the bound again.
+    from regusamp import bounds
+
+    original, calls = bounds.robustness_bound, []
+    monkeypatch.setattr(bounds, "robustness_bound", lambda *args: calls.append(args) or original(*args))
+    proc = run_cli("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3", "--window", "sinh", "--m", "2,3,4")
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 4
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("value", ["2.5", "3,"])
 def test_bounds_unparsable_m_names_flag(value):
     proc = run_cli("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3",

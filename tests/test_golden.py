@@ -21,13 +21,16 @@ and at the CPU count, and compares the SHA-256 prefixes of their CSVs with
 presets.sha256.
 
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites every file but
-presets.sha256, for a change that moves digits on purpose.
+presets.sha256, for a change that moves digits on purpose, and prints for
+each file how many lines changed and the largest relative change in each
+numeric CSV column.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import math
 import os
 import re
 import tempfile
@@ -158,8 +161,40 @@ def test_full_preset_sha256(preset, jobs):
         pytest.fail(f"{preset} at jobs={jobs}: SHA-256 {digest[:len(want)]}, golden {want}")
 
 
+def _number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def describe_change(name: str, old: str, new: str) -> str:
+    """How many lines of ``name`` changed, and the largest relative change
+    (signed, (new - old)/|old|) in each numeric column of its CSV parts.
+    A line whose fields are all non-numeric is a CSV header; the lines after
+    it with as many fields are its rows."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    changed = sum(a != b for a, b in itertools.zip_longest(old_lines, new_lines))
+    header, worst = None, {}
+    for a, b in zip(old_lines, new_lines):
+        fields = b.split(",")
+        if len(fields) > 1 and all(_number(f) is None for f in fields):
+            header = fields
+        elif a != b and header is not None and len(fields) == len(header) == len(a.split(",")):
+            for col, x, y in zip(header, map(_number, a.split(",")), map(_number, fields)):
+                if x is not None and y is not None and x != y:
+                    rel = (y - x) / abs(x) if x else math.inf
+                    if abs(rel) > abs(worst.get(col, 0.0)):
+                        worst[col] = rel
+    cols = "".join(f"; {col} {rel:+.3g}" for col, rel in worst.items())
+    return f"{name}: {changed} of {len(new_lines)} lines changed{cols}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, make in OUTPUTS.items():
-        (GOLDEN / name).write_bytes(make().encode("ascii"))
-    (GOLDEN / "simd.txt").write_text(simd_line() + "\n")
+    made = {name: make() for name, make in OUTPUTS.items()}
+    made["simd.txt"] = simd_line() + "\n"
+    for name, text in made.items():
+        path = GOLDEN / name
+        print(describe_change(name, path.read_text() if path.exists() else "", text))
+        path.write_bytes(text.encode("ascii"))

@@ -259,9 +259,10 @@ def test_band_quantities_against_mpmath(kind, case_one):
 @pytest.mark.parametrize("kind", [WindowKind.BSPLINE, WindowKind.SINH])
 @pytest.mark.parametrize("m", [2, 10])
 def test_eta_on_dense_e1_grid_against_mpmath(kind, m):
-    # The E1 grid spaces its nodes about max_width/1000 apart, so every
-    # panel of the band tail takes the narrow-panel rule.  Check eta on the
-    # whole grid at both ends and three interior indices.
+    # The E1 grid (eta's oracle grid in test_bounds.py) spaces its nodes
+    # about max_width/1000 apart, so every panel of the band tail takes the
+    # narrow-panel rule.  Check eta on the whole grid at both ends and three
+    # interior indices.
     mp = pytest.importorskip("mpmath")
     from regusamp.bounds import _E1_GRID_POINTS, eta
 
