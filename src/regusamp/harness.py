@@ -69,8 +69,9 @@ class ExperimentPlan:
         object.__setattr__(self, "windows", tuple(WindowKind(w) for w in self.windows))
         if self.S < 2:
             raise ValueError("S must be >= 2")
-        if not self.m_list:
-            raise ValueError("m_list must be nonempty")
+        for name in ("windows", "tau_list", "lambda_list", "m_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.eps < np.inf:

@@ -10,18 +10,19 @@ plain sample data: perturb returns the samples f(l/L) + eps_l, which every
 evaluator reads like any other sample set.
 
 Every evaluation goes through one block evaluator, _map_blocks, which
-builds the 2m-wide kernel matrix of KERNEL_BLOCK targets at a time and
-reduces it.  Every row has one layout: an on-grid target j/L reads sample j
-alone, with a unit weight at column m - 1, so column m - 1 always sits at
-index floor(L*t).  reconstruct_grid reduces each block against the samples,
-and reconstruct_at is its one-point call, so a point gets the same value
-alone or in a grid.  noise_response_max reduces each block against a whole
-matrix of noise trials at once, with one small matrix product per run of
-targets that share a window.  The blocks of one call run on up to
-usable_cpu_count() threads (numpy releases the GIL in the element functions,
-the gathers and the matrix products), each holding at most two blocks, so
-memory stays bounded however many targets there are.  Each block is
-computed exactly as alone, so the thread count changes no bit.  Both
+builds the 2m-wide kernel matrix of KERNEL_WEIGHTS // (2m) targets at a
+time and reduces it, so a block holds the same number of weights at every
+m.  Every row has one layout: an on-grid target j/L reads sample j alone,
+with a unit weight at column m - 1, so column m - 1 always sits at index
+floor(L*t).  reconstruct_grid reduces each block against the samples, and
+reconstruct_at is its one-point call, so a point gets the same value alone
+or in a grid.  noise_response_max reduces each block against a whole matrix
+of noise trials at once, with one small matrix product per run of targets
+that share a window.  A call of more than one block runs its blocks on up
+to usable_cpu_count() threads (numpy releases the GIL in the element
+functions, the gathers and the matrix products), each holding at most two
+blocks, so memory stays bounded however many targets there are.  Each block
+is computed exactly as alone, so the thread count changes no bit.  Both
 evaluators leave the decision whether a block's samples are present to one
 helper, _require_covered, which names the first target that lacks some.
 """
@@ -150,17 +151,14 @@ def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float) -> float:
     return float(reconstruct_grid(ss, w, np.array([t], dtype=float))[0])
 
 
-# Targets per block of the batched evaluators.  One block's index and weight
-# arrays hold 2 * 2048 * 2m values (655 KB at m = 10), and the element
-# functions add two or three float temporaries of the same shape, so a
-# block's working set stays near a 2 MB L2 cache.  Each of up to
-# usable_cpu_count() threads holds at most two blocks, so memory does not
-# grow with the number of targets.  Smaller blocks pay more often a fixed
-# cost of some 50 us per block in numpy calls; larger ones leave the cache.
-# Of 1024, 1536, 2048, 3072 and 4096, 2048 ran the fig10 cells fastest on a
-# Xeon with 2 MB of L2 per core, and with two threads 2048 still beat 1024,
-# 4096 and 8192.
-KERNEL_BLOCK = 2048
+# Kernel weights per block of the batched evaluators, whatever m is: a
+# block has 2**15 // (2m) targets, and its index and weight arrays take up
+# to 256 KB each.  With the two or three float temporaries of the element
+# functions a block's working set stays near a 2 MB L2 cache.  Smaller
+# blocks pay more often a fixed cost of some 50 us per block in numpy calls;
+# larger ones leave the cache.  On 2 cores, 2**14 ran the benchmark's approx
+# and perturb rounds 20-30% slower, and 2**16 raised their peak RSS by 5%.
+KERNEL_WEIGHTS = 1 << 15
 
 # |L*t| at and beyond which no int64 sample index reaches a target.
 _INDEX_LIMIT = 2.0**62
@@ -177,7 +175,6 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     keeps that window start.  A target with |t| >= 2**62/L lies beyond every
     int64 sample index: its row has idx 0 and NaN weights, and the batched
     evaluators reject it (_require_covered) at its place in target order.
-    They call it on one block of KERNEL_BLOCK targets at a time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -204,9 +201,11 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     return idx, weights
 
 
-def _block_rows(n: int) -> list[slice]:
-    """The slices of n targets that make up the blocks, in order."""
-    return [slice(start, start + KERNEL_BLOCK) for start in range(0, n, KERNEL_BLOCK)]
+def _block_rows(n: int, m: int) -> list[slice]:
+    """The slices of n targets that make up the blocks at 2m weights per
+    target, in order: KERNEL_WEIGHTS // (2m) targets each, at least one."""
+    rows = max(1, KERNEL_WEIGHTS // (2 * m))
+    return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
 def usable_cpu_count() -> int:
@@ -217,13 +216,6 @@ def usable_cpu_count() -> int:
     except AttributeError:
         return os.cpu_count() or 1
 
-
-# Narrowest window, in samples 2m, whose blocks run on threads.  A narrower
-# block makes numpy calls too short for two threads to repay the hand-offs
-# of the GIL between them.  On 2 cores, two threads took 1.06-1.21x the time
-# of one on the benchmark's fig10 cells at m = 2 and 0.67-0.86x at m = 5
-# and 8; on its fig6 cells 1.56x at m = 2 and 1.04x at m = 4.
-_THREADED_MIN_WIDTH = 10
 
 # The process's pool of usable_cpu_count() - 1 threads, which work beside
 # the calling thread.  It is made on first use, and each thread starts only
@@ -255,16 +247,15 @@ def _block_pool():
 
 
 def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
-    """reduce(rows, idx, weights) of every block of KERNEL_BLOCK targets,
+    """reduce(rows, idx, weights) of every block of _block_rows(t.size, m),
     where (idx, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
 
     Every batched evaluation (reconstruct_grid, noise_response_max,
     bounds.noise_amplification) goes through here.  With width =
     min(blocks, usable_cpu_count()), the calling thread reduces blocks
     0, width, 2*width, ... and width - 1 threads of the process's pool the
-    other residues.  A single block, a window of fewer than
-    _THREADED_MIN_WIDTH samples, or any call in a forked child runs on the
-    calling thread alone and starts no thread.  Each block is built and
+    other residues.  A single block, or any call in a forked child, runs on
+    the calling thread alone and starts no thread.  Each block is built and
     reduced exactly as it would be alone, so the results do not depend on
     the number of threads.  When blocks raise, the first of them in block
     order raises here, as a loop over the blocks would.
@@ -272,7 +263,7 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError("t must be one-dimensional")
-    blocks = _block_rows(t.size)
+    blocks = _block_rows(t.size, cfg.m)
     results = [None] * len(blocks)
 
     def run(first, step):
@@ -289,12 +280,10 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
         return len(blocks), None
 
     width = min(len(blocks), usable_cpu_count())
-    if width <= 1 or 2 * cfg.m < _THREADED_MIN_WIDTH or _forked_child:
-        stops = [run(0, 1)]
-    else:
-        pool = _block_pool()
-        futures = [pool.submit(run, first, width) for first in range(1, width)]
-        stops = [run(0, width), *(f.result() for f in futures)]
+    if width <= 1 or _forked_child:
+        width = 1
+    futures = [_block_pool().submit(run, first, width) for first in range(1, width)]
+    stops = [run(0, width), *(f.result() for f in futures)]
     _, exc = min(stops, key=lambda stop: stop[0])
     if exc is not None:
         raise exc

@@ -25,6 +25,16 @@ class InvalidConfig(ValueError):
     """A sampling configuration or window parameter outside its valid range."""
 
 
+def _require_integer(name: str, x, least: int) -> None:
+    """Raise InvalidConfig unless x is a whole number >= least, such as 3 or 3.0."""
+    try:
+        whole = float(x).is_integer()
+    except OverflowError:  # an int beyond every float
+        raise InvalidConfig(f"{name} is too large for a float") from None
+    if not (whole and x >= least):
+        raise InvalidConfig(f"{name} must be an integer >= {least}, got {x!r}")
+
+
 class WindowKind(str, Enum):
     RECT = "rect"
     GAUSS = "gauss"
@@ -49,16 +59,14 @@ class SamplingConfig:
     m: int
 
     def __post_init__(self):
-        if not (self.N >= 1 and float(self.N).is_integer()):
-            raise InvalidConfig(f"N must be a positive integer, got {self.N!r}")
+        _require_integer("N", self.N, 1)
         if not 0 <= self.lam < math.inf:
             raise InvalidConfig(f"lam must be finite and >= 0, got {self.lam!r}")
         if not 0.0 < self.tau < 0.5:
             raise InvalidConfig(f"tau must lie in (0, 1/2), got {self.tau!r}")
-        if not (self.m >= 2 and float(self.m).is_integer()):
-            raise InvalidConfig(f"m must be an integer >= 2, got {self.m!r}")
+        _require_integer("m", self.m, 2)
         L_real = self.N * (1.0 + self.lam)
-        L = round(L_real)
+        L = round(L_real) if L_real < math.inf else 0
         if abs(L_real - L) > 1e-9 or L < 1:
             raise InvalidConfig(
                 f"N*(1+lam) = {L_real!r} is not an integer; sample grid undefined"
@@ -132,8 +140,7 @@ class WindowSpec:
         if required == "sigma" and not 0 < self.sigma < math.inf:
             raise InvalidConfig(f"sigma must be finite and > 0, got {self.sigma!r}")
         if required == "s":
-            if not (self.s >= 2 and float(self.s).is_integer()):
-                raise InvalidConfig(f"s must be an integer >= 2, got {self.s!r}")
+            _require_integer("s", self.s, 2)
             object.__setattr__(self, "s", int(self.s))
         if required == "beta" and not 0 < self.beta < math.inf:
             raise InvalidConfig(f"beta must be finite and > 0, got {self.beta!r}")

@@ -15,7 +15,7 @@ import pytest
 
 from regusamp import specfun
 from regusamp.kernel import sinc
-from regusamp.reconstruct import KERNEL_BLOCK, _block_rows, kernel_matrix
+from regusamp.reconstruct import KERNEL_WEIGHTS, _block_rows, kernel_matrix
 from regusamp.windows import (
     SamplingConfig,
     WindowKind,
@@ -156,18 +156,19 @@ def test_kernel_matrix_bits(cfg, kind):
     # Random and on-grid targets, +-0 (on-grid at index 0), with a block
     # edge between an on-grid and an off-grid target.
     w = default_params(kind, cfg)
+    block = _block_rows(KERNEL_WEIGHTS, cfg.m)[0].stop
     rng = np.random.default_rng(7)
-    t = rng.uniform(-1.0, 1.0, KERNEL_BLOCK + 9)
+    t = rng.uniform(-1.0, 1.0, block + 9)
     t[::5] = rng.integers(-cfg.L, cfg.L, t[::5].size) / cfg.L
-    t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 3] = [17 / cfg.L, 0.123456789, -0.0, 0.0]
+    t[block - 1:block + 3] = [17 / cfg.L, 0.123456789, -0.0, 0.0]
     want_idx, want_w = ref_kernel_matrix(w, cfg, t)
     idx, weights = kernel_matrix(w, cfg, t)
     assert np.array_equal(idx, want_idx) and idx.dtype == want_idx.dtype
     assert_same_bits(weights, want_w)
-    blocks = [kernel_matrix(w, cfg, t[rows]) for rows in _block_rows(t.size)]
+    blocks = [kernel_matrix(w, cfg, t[rows]) for rows in _block_rows(t.size, cfg.m)]
     assert len(blocks) == 2
     assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_idx)
     assert_same_bits(np.concatenate([b[1] for b in blocks]), want_w)
-    one_idx, one_w = kernel_matrix(w, cfg, t[KERNEL_BLOCK:KERNEL_BLOCK + 1])
-    assert np.array_equal(one_idx, want_idx[KERNEL_BLOCK:KERNEL_BLOCK + 1])
-    assert_same_bits(one_w, want_w[KERNEL_BLOCK:KERNEL_BLOCK + 1])
+    one_idx, one_w = kernel_matrix(w, cfg, t[block:block + 1])
+    assert np.array_equal(one_idx, want_idx[block:block + 1])
+    assert_same_bits(one_w, want_w[block:block + 1])

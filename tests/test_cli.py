@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -481,6 +482,42 @@ def test_experiment_bad_noise_or_seed_exit_2(tmp_path, change, env, message):
     assert proc.returncode == 2
     assert proc.stdout == "" and not out.exists()
     assert message in proc.stderr
+
+
+BIG = "1" + "0" * 400  # an integer beyond every float
+
+
+@pytest.mark.parametrize("flags,plan_change,message", [
+    ({"--lambda": "1e308"}, None, "N*(1+lam) = inf is not an integer"),
+    ({"--N": BIG}, None, "N is too large for a float"),
+    ({"--window": "bspline", "--s": BIG}, None, "s is too large for a float"),
+    ({"--m": BIG}, None, "m is too large for a float"),
+    (None, ("lambda_list = 1", "lambda_list = 1e308"), "N*(1+lam) = inf is not an integer"),
+], ids=["lambda", "N", "s", "m", "plan-lambda"])
+def test_overflowing_config_exit_2(tmp_path, flags, plan_change, message):
+    out = tmp_path / "o.csv"
+    if flags is None:
+        plan = tmp_path / "big.plan"
+        plan.write_text(PLAN_TEXT.replace(*plan_change))
+        proc = run_cli("experiment", "--plan", str(plan), "--out", str(out))
+    else:
+        args = {"--N": "128", "--lambda": "1", "--tau": "1/3", "--window": "gauss", "--m": "4", **flags}
+        proc = run_cli("bounds", *(x for item in args.items() for x in item))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["windows", "tau_list", "lambda_list", "m_list"])
+def test_experiment_empty_grid_list_exit_2(tmp_path, key):
+    # Rejected before any cell runs: no header-only CSV.
+    plan = tmp_path / "empty.plan"
+    plan.write_text(re.sub(rf"^{key} = .*$", f"{key} =", PLAN_TEXT, flags=re.M))
+    out = tmp_path / "o.csv"
+    proc = run_cli("experiment", "--plan", str(plan), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not out.exists()
+    assert f"{key} must be nonempty" in proc.stderr
 
 
 def test_bounds_eps_accepts_fraction():

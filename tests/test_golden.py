@@ -4,8 +4,8 @@ Each file is regenerated here and compared byte for byte:
 
 - plan.csv: a small experiment plan (four windows, m = 2, 5, 10, S = 5001,
   clean and noisy with 3 trials), at jobs = 1 and at jobs = 2.  S = 5001
-  makes three kernel blocks, so the block threads run at m >= 5 and the
-  inline path at m = 2;
+  is one kernel block at m = 2, which runs inline, and two or four blocks
+  at m = 5 and 10, which run on the block threads;
 - bounds.txt, reconstruct.txt, selftest.txt: ``regusamp bounds``,
   ``regusamp reconstruct`` (with two exit-3 calls) and ``regusamp
   selftest``, each call's exit code, stdout and stderr.

@@ -167,7 +167,8 @@ from regusamp import SamplingConfig, default_params
 from regusamp.harness import ExperimentPlan, run_plan
 
 rec.usable_cpu_count = lambda: 2  # threads even on a one-CPU host
-plan = ExperimentPlan("sincband", 32, (5, 6), (1 / 3,), (1.0,), ("gauss",), S=3 * rec.KERNEL_BLOCK)
+block = rec._block_rows(rec.KERNEL_WEIGHTS, 5)[0].stop
+plan = ExperimentPlan("sincband", 32, (5, 6), (1 / 3,), (1.0,), ("gauss",), S=3 * block)
 assert run_plan(plan, jobs=1) == run_plan(plan, jobs=2)
 seen = set()
 real = rec.kernel_matrix
@@ -179,7 +180,7 @@ def spy(*args):
 rec.kernel_matrix = spy
 cfg = SamplingConfig(32, 1.0, 1 / 3, 5)
 ss = rec.sample(rec.TestFunction("sincband", cfg.delta), cfg, -cfg.L - 5, cfg.L + 5)
-t = np.linspace(-1.0, 1.0, 3 * rec.KERNEL_BLOCK)
+t = np.linspace(-1.0, 1.0, 3 * block)
 pid = os.fork()
 if pid == 0:
     rec.reconstruct_grid(ss, default_params("gauss", cfg), t)

@@ -12,7 +12,7 @@ import regusamp.reconstruct as reconstruct_mod
 from regusamp.bounds import noise_amplification
 from regusamp.kernel import KernelEval, NonFiniteInput, ft_window, psi
 from regusamp.reconstruct import (
-    KERNEL_BLOCK,
+    KERNEL_WEIGHTS,
     IndexOutOfRange,
     SampleSet,
     TestFunction,
@@ -32,6 +32,14 @@ from samples_io import save_samples
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 F = TestFunction(TestFunctionKind.SINC_BAND, delta=CFG.delta)
+
+
+def block_rows(m):
+    """Targets per kernel block at 2m weights per target."""
+    return _block_rows(KERNEL_WEIGHTS, m)[0].stop
+
+
+BLOCK = block_rows(CFG.m)
 
 
 def full_sample_set(cfg=CFG, f=None):
@@ -303,34 +311,39 @@ def whole_array_grid(ss, w, t):
 
 
 def test_kernel_blocks_tile_the_targets():
-    t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
-    assert [(rows.start, len(t[rows])) for rows in _block_rows(t.size)] == [
-        (0, KERNEL_BLOCK), (KERNEL_BLOCK, KERNEL_BLOCK), (2 * KERNEL_BLOCK, 1)]
-    assert _block_rows(0) == []
+    for m, rows in ((2, 8192), (5, 3276), (10, 1638)):
+        assert block_rows(m) == rows
+        n = 2 * rows + 1
+        t = np.arange(n)
+        assert [(b.start, len(t[b])) for b in _block_rows(n, m)] == [(0, rows), (rows, rows), (2 * rows, 1)]
+        assert np.array_equal(np.concatenate([t[b] for b in _block_rows(n, m)]), t)
+        assert _block_rows(0, m) == []
+    # A window wider than the budget still puts one target in each block.
+    assert _block_rows(3, KERNEL_WEIGHTS) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 @pytest.mark.parametrize("kind", [WindowKind.GAUSS, WindowKind.BSPLINE, WindowKind.SINH])
 def test_blocked_grid_bit_equal_to_whole_array(kind):
     ss = full_sample_set()
     w = default_params(kind, CFG)
-    t = np.linspace(-1.0, 1.0, 2 * KERNEL_BLOCK + 1)
+    t = np.linspace(-1.0, 1.0, 2 * BLOCK + 1)
     # On-grid targets on both sides of each block edge.
-    for pos in (KERNEL_BLOCK - 1, KERNEL_BLOCK, 2 * KERNEL_BLOCK - 1, 2 * KERNEL_BLOCK):
+    for pos in (BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK):
         t[pos] = round(CFG.L * t[pos]) / CFG.L
     shuffled = np.random.default_rng(5).permutation(t)
     for targets in (t, shuffled):
         got = reconstruct_grid(ss, w, targets)
         assert np.array_equal(got, whole_array_grid(ss, w, targets))
-    edge = t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1]
+    edge = t[BLOCK - 1:BLOCK + 1]
     j = np.rint(CFG.L * edge).astype(int)
-    assert np.array_equal(reconstruct_grid(ss, w, t)[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1],
+    assert np.array_equal(reconstruct_grid(ss, w, t)[BLOCK - 1:BLOCK + 1],
                           ss.values[j - ss.index_lo])
 
 
 def test_grid_out_of_range_in_last_block_only():
     ss = sample(F, CFG, -140, 140)
     w = default_params(WindowKind.GAUSS, CFG)
-    t = np.linspace(-0.5, 0.5, 2 * KERNEL_BLOCK + 1)
+    t = np.linspace(-0.5, 0.5, 2 * BLOCK + 1)
     reconstruct_grid(ss, w, t[:-1])
     t[-1] = 0.7  # needs indices up to floor(0.7 * 256) + 5 = 184
     with pytest.raises(IndexOutOfRange, match=r"indices \[175, 184\]"):
@@ -353,7 +366,7 @@ def test_grid_out_of_range_names_first_uncovered_target(t, message):
 
 def test_noise_response_rejects_uncovered_windows():
     w = default_params(WindowKind.SINH, CFG)
-    t = np.linspace(-0.5, 0.5, 2 * KERNEL_BLOCK + 1)
+    t = np.linspace(-0.5, 0.5, 2 * BLOCK + 1)
     lo, hi = -128 - CFG.m + 1, 128 + CFG.m  # exactly the windows of t
     noise = np.random.default_rng(2).uniform(-1.0, 1.0, (3, hi - lo + 1))
     assert noise_response_max(w, CFG, t, lo, noise) > 0.0
@@ -387,8 +400,8 @@ def test_noise_response_matches_gathered_sums():
     # explicit gather of every trial.
     w = default_params(WindowKind.BSPLINE, CFG)
     rng = np.random.default_rng(9)
-    t = rng.uniform(-1.0, 1.0, KERNEL_BLOCK + 7)
-    t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
+    t = rng.uniform(-1.0, 1.0, BLOCK + 7)
+    t[BLOCK - 1:BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
     lo, hi = -CFG.L - CFG.m, CFG.L + CFG.m
     noise = rng.uniform(-1e-3, 1e-3, (4, hi - lo + 1))
     idx, weights = kernel_matrix(w, CFG, t)
@@ -406,7 +419,7 @@ def serial_reductions(ss, w, t, noise):
     cfg, lo, m = ss.cfg, ss.index_lo, ss.cfg.m
     grid = np.empty(t.shape)
     noise_max = lebesgue = 0.0
-    for rows in _block_rows(t.size):
+    for rows in _block_rows(t.size, m):
         idx, weights = kernel_matrix(w, cfg, t[rows])
         grid[rows] = np.einsum("ij,ij->i", ss.values[idx - lo], weights)
         start = idx[:, m - 1] - (m - 1)
@@ -434,34 +447,43 @@ def spy_block_threads(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(WindowKind))
 def test_threaded_blocks_bit_equal_to_serial_loop(kind, monkeypatch):
-    # Three threads over four blocks, whatever the host's CPU count.
+    # Three threads over four blocks, whatever the host's CPU count, at
+    # m = 5 and at the narrowest window, 2m = 4.
     monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
-    ss = full_sample_set()
-    w = default_params(kind, CFG)
-    rng = np.random.default_rng(17)
-    t = rng.uniform(-1.0, 1.0, 3 * KERNEL_BLOCK + 5)
-    # On-grid targets on both sides of two block edges.
-    t[KERNEL_BLOCK - 1:KERNEL_BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
-    t[2 * KERNEL_BLOCK - 1:2 * KERNEL_BLOCK + 1] = [0.0, 1.0]
-    noise = rng.uniform(-1e-3, 1e-3, (5, len(ss)))
-    grid, noise_max, lebesgue = serial_reductions(ss, w, t, noise)
     threads = spy_block_threads(monkeypatch)
-    assert reconstruct_grid(ss, w, t).tobytes() == grid.tobytes()
-    assert noise_response_max(w, CFG, t, ss.index_lo, noise) == noise_max
-    assert noise_amplification(w, CFG, t) == lebesgue
-    assert len(threads) > 1
+    for cfg in (CFG, SamplingConfig(128, 1.0, 1 / 3, 2)):
+        ss = full_sample_set(cfg)
+        w = default_params(kind, cfg)
+        block = block_rows(cfg.m)
+        rng = np.random.default_rng(17)
+        t = rng.uniform(-1.0, 1.0, 3 * block + 5)
+        # On-grid targets on both sides of two block edges.
+        t[block - 1:block + 1] = [17 / cfg.L, -3 / cfg.L]
+        t[2 * block - 1:2 * block + 1] = [0.0, 1.0]
+        noise = rng.uniform(-1e-3, 1e-3, (5, len(ss)))
+        grid, noise_max, lebesgue = serial_reductions(ss, w, t, noise)
+        threads.clear()
+        assert reconstruct_grid(ss, w, t).tobytes() == grid.tobytes()
+        assert noise_response_max(w, cfg, t, ss.index_lo, noise) == noise_max
+        assert noise_amplification(w, cfg, t) == lebesgue
+        assert len(threads) > 1
 
 
-@pytest.mark.parametrize("cfg,S", [(CFG, KERNEL_BLOCK), (SamplingConfig(128, 1.0, 1 / 3, 2), 4 * KERNEL_BLOCK)])
-def test_one_block_or_narrow_window_runs_inline(cfg, S, monkeypatch):
-    # One block, or a window of 2m = 4 samples, starts no thread.
+@pytest.mark.parametrize("m,blocks", [(5, 1), (2, 1), (2, 3)])
+def test_threads_only_for_several_blocks(m, blocks, monkeypatch):
+    # One block starts no thread; several blocks use the pool, even at the
+    # narrowest window, 2m = 4.
     monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    cfg = SamplingConfig(128, 1.0, 1 / 3, m)
     ss = full_sample_set(cfg)
     threads = spy_block_threads(monkeypatch)
     before = threading.active_count()
-    reconstruct_grid(ss, default_params(WindowKind.SINH, cfg), np.linspace(-1.0, 1.0, S))
-    assert threads == {threading.get_ident()}
-    assert threading.active_count() == before
+    reconstruct_grid(ss, default_params(WindowKind.SINH, cfg), np.linspace(-1.0, 1.0, blocks * block_rows(m)))
+    if blocks == 1:
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == before
+    else:
+        assert len(threads) > 1
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
@@ -472,7 +494,7 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
     ss = full_sample_set()
     w = default_params(WindowKind.SINH, CFG)
-    t = np.linspace(-1.0, 1.0, 4 * KERNEL_BLOCK + 3)
+    t = np.linspace(-1.0, 1.0, 4 * BLOCK + 3)
     want = whole_array_grid(ss, w, t)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -491,9 +513,9 @@ def test_first_failing_block_raises_when_a_later_one_fails_first(monkeypatch):
     monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
     ss = sample(F, CFG, -140, 140)
     w = default_params(WindowKind.GAUSS, CFG)
-    t = np.linspace(-0.5, 0.5, 5 * KERNEL_BLOCK)
-    t[KERNEL_BLOCK + 7] = 0.9
-    t[3 * KERNEL_BLOCK + 1] = -0.8
+    t = np.linspace(-0.5, 0.5, 5 * BLOCK)
+    t[BLOCK + 7] = 0.9
+    t[3 * BLOCK + 1] = -0.8
     real = reconstruct_mod.kernel_matrix
 
     def slow_block_1(w, cfg, targets):
