@@ -14,8 +14,8 @@ from .reconstruct import (
     SampleSet,
     TestFunction,
     TestFunctionKind,
+    noise_amplification,
     perturb,
-    reconstruct_at,
     reconstruct_grid,
     sample,
 )
@@ -28,7 +28,6 @@ from .bounds import (
     e2_numeric,
     eta,
     gauss_bound,
-    noise_amplification,
     rect_bound,
     robustness_bound,
     sinh_bound,
@@ -49,8 +48,8 @@ __all__ = [
     "SampleSet",
     "TestFunction",
     "TestFunctionKind",
+    "noise_amplification",
     "perturb",
-    "reconstruct_at",
     "reconstruct_grid",
     "sample",
     "BoundReport",
@@ -61,7 +60,6 @@ __all__ = [
     "e2_numeric",
     "eta",
     "gauss_bound",
-    "noise_amplification",
     "rect_bound",
     "robustness_bound",
     "sinh_bound",

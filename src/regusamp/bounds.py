@@ -13,7 +13,8 @@ form: the rectangular bound decays like 1/sqrt(m) while the Gaussian,
 B-spline and sinh bounds decay exponentially in m.  Perturbations bounded by
 eps propagate to at most eps*(2 + L*phihat(0)) uniformly, with sqrt(m)-growth
 closed forms per window; the exact worst case on a target grid is eps times
-the maximum of the operator's Lebesgue function (noise_amplification).
+the maximum of the operator's Lebesgue function
+(reconstruct.noise_amplification, one of the operator's block reductions).
 Each closed form is proven only for the shape parameter that
 windows.default_params picks, and is None for any other window.
 
@@ -34,7 +35,6 @@ import numpy as np
 
 from . import specfun
 from .kernel import KernelEval, check_finite, ft_psi, ft_window, kernel_band_tail
-from .reconstruct import _map_blocks, _require_covered
 from .windows import SamplingConfig, WindowKind, WindowSpec, default_params
 
 
@@ -257,31 +257,6 @@ def robustness_bound(w: WindowSpec, cfg: SamplingConfig, eps: float) -> Robustne
     else:
         special = None
     return RobustnessBound(generic, special)
-
-
-def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
-    """Largest value over the targets ``t`` of the Lebesgue function
-
-        Lambda(t) = sum_l |psi(t - l/L)|
-
-    of the localized operator (1 at grid points, where R echoes the sample).
-    For noise bounded by eps, sup |R(noise)(t)| = eps * Lambda(t), attained
-    by noise = eps * sign(psi), so eps * max Lambda is the exact worst case
-    on ``t`` that seeded noise trials only estimate from below, and every
-    robustness bound must dominate it.  One row sum of |weights| per block
-    of reconstruct._map_blocks; a target with |t| >= 2**62/L has no window
-    and raises IndexOutOfRange.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        raise ValueError("need at least one target")
-
-    def reduce(rows, idx, weights):
-        # Every int64 index is in range, so only a target without a window raises.
-        _require_covered(cfg, t[rows], idx[:, 0], idx[:, -1], -2**63, 2**63 - 1, "int64")
-        return float(np.max(np.sum(np.abs(weights), axis=1)))
-
-    return max(_map_blocks(w, cfg, t, reduce))
 
 
 @dataclass(frozen=True)

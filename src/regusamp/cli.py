@@ -11,7 +11,7 @@ stdout carries machine-parseable CSV only; diagnostics go to stderr.  Exit
 codes are stable API: 0 ok, 1 selftest failure, 2 usage, 3 missing sample
 range, 4 bound violation, 5 I/O error.  ``reconstruct`` and ``bounds``
 write their CSV only after every row is computed, so a failing call leaves
-stdout empty.  REGUSAMP_SEED overrides the plan seed for ``experiment``.
+stdout empty.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -166,13 +164,6 @@ def _cmd_experiment(args) -> int:
     except OSError as exc:
         print(f"cannot read plan: {exc}", file=sys.stderr)
         return EXIT_IO
-    seed = os.environ.get("REGUSAMP_SEED")
-    if seed:
-        try:
-            seed_value = int(seed)
-        except ValueError:
-            raise ValueError(f"REGUSAMP_SEED must be an integer, got {seed!r}") from None
-        plans = [replace(p, seed=seed_value) for p in plans]
     try:
         rows = [row for plan in plans for row in harness.run_plan(plan, jobs=max(1, args.jobs))]
     except harness.BoundViolation as exc:

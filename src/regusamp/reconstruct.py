@@ -14,16 +14,18 @@ builds the 2m-wide kernel matrix of KERNEL_WEIGHTS // (2m) targets at a
 time and reduces it, so a block holds the same number of weights at every
 m.  Every row has one layout: an on-grid target j/L reads sample j alone,
 with a unit weight at column m - 1, so column m - 1 always sits at index
-floor(L*t).  reconstruct_grid reduces each block against the samples, and
-reconstruct_at is its one-point call, so a point gets the same value alone
-or in a grid.  noise_response_max reduces each block against a whole matrix
-of noise trials at once, with one small matrix product per run of targets
-that share a window.  A call of more than one block runs its blocks on up
+floor(L*t).  The three reductions of the operator are its only callers:
+reconstruct_grid reduces each block against the samples, so a point gets
+the same value alone or in a grid; noise_response_max reduces each block
+against a whole matrix of noise trials at once, with one small matrix
+product per run of targets that share a window; noise_amplification takes
+each row's sum of |weights|, the Lebesgue function behind the robustness
+bounds.  A call of more than one block runs its blocks on up
 to usable_cpu_count() threads (numpy releases the GIL in the element
 functions, the gathers and the matrix products), each holding at most two
 blocks, so memory stays bounded however many targets there are.  Each block
-is computed exactly as alone, so the thread count changes no bit.  Both
-evaluators leave the decision whether a block's samples are present to one
+is computed exactly as alone, so the thread count changes no bit.  Every
+reduction leaves the decision whether a block's samples are present to one
 helper, _require_covered, which names the first target that lacks some.
 """
 
@@ -142,15 +144,6 @@ def perturb(ss: SampleSet, eps: float, seed: int) -> SampleSet:
     return SampleSet(ss.cfg, ss.index_lo, ss.index_hi, ss.values + _draw_noise(len(ss), eps, seed))
 
 
-def reconstruct_at(ss: SampleSet, w: WindowSpec, t: float) -> float:
-    """Localized reconstruction at a single point from exactly 2m samples.
-
-    A one-point call of reconstruct_grid.  On-grid points t = j/L return the
-    sample value exactly, through kernel_matrix's unit weight.
-    """
-    return float(reconstruct_grid(ss, w, np.array([t], dtype=float))[0])
-
-
 # Kernel weights per block of the batched evaluators, whatever m is: a
 # block has 2**15 // (2m) targets, and its index and weight arrays take up
 # to 256 KB each.  With the two or three float temporaries of the element
@@ -251,7 +244,7 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     where (idx, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
 
     Every batched evaluation (reconstruct_grid, noise_response_max,
-    bounds.noise_amplification) goes through here.  With width =
+    noise_amplification) goes through here.  With width =
     min(blocks, usable_cpu_count()), the calling thread reduces blocks
     0, width, 2*width, ... and width - 1 threads of the process's pool the
     other residues.  A single block, or any call in a forked child, runs on
@@ -311,7 +304,7 @@ def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """The localized reconstruction at every target of a 1-D array.
 
-    This is the one evaluation path; reconstruct_at is its one-point call.
+    This is the one evaluation path; a single point is a one-element array.
     Each block of _map_blocks is reduced into its slice of a preallocated
     output, so the memory beyond that output does not grow with the number
     of targets.  Off-grid sums run in index order.  A block whose samples
@@ -361,6 +354,31 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
         return worst
 
     return max(_map_blocks(w, cfg, t, reduce), default=0.0)
+
+
+def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
+    """Largest value over the targets ``t`` of the Lebesgue function
+
+        Lambda(t) = sum_l |psi(t - l/L)|
+
+    of the localized operator (1 at grid points, where R echoes the sample).
+    For noise bounded by eps, sup |R(noise)(t)| = eps * Lambda(t), attained
+    by noise = eps * sign(psi), so eps * max Lambda is the exact worst case
+    on ``t`` that seeded noise trials only estimate from below, and every
+    robustness bound must dominate it.  One row sum of |weights| per block
+    of _map_blocks; a target with |t| >= 2**62/L has no window and raises
+    IndexOutOfRange.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ValueError("need at least one target")
+
+    def reduce(rows, idx, weights):
+        # Every int64 index is in range, so only a target without a window raises.
+        _require_covered(cfg, t[rows], idx[:, 0], idx[:, -1], -2**63, 2**63 - 1, "int64")
+        return float(np.max(np.sum(np.abs(weights), axis=1)))
+
+    return max(_map_blocks(w, cfg, t, reduce))
 
 
 def load_samples(path, cfg: SamplingConfig) -> SampleSet:

@@ -4,12 +4,12 @@ Everything here is a pure function of its arguments; all evaluators accept
 scalars or numpy arrays and broadcast elementwise.  The complementary error
 function and the Bessel functions are delegated to scipy.special (Cephes /
 AMOS), which meets the accuracy targets of this package (erfc absolute error
-<= 1e-15, J1/I1 relative error <= 1e-12 away from their zeros); the odd
-symmetry of J1 is enforced by construction.  scipy.special loads on the first
-call of erfc, J1 or I1e, so importing the package and reconstructing never
-load it.  The centered cardinal B-spline (piecewise Horner on exact piece
-coefficients), its exact center values and the Eulerian numbers are
-implemented here directly.
+<= 1e-15, J1/I1 relative error <= 1e-12 away from their zeros); scipy's J1
+is odd bit for bit.  scipy.special loads on the first call of erfc, J1 or
+I1e, so importing the package and reconstructing never load it.  The
+centered cardinal B-spline (piecewise Horner on exact piece coefficients),
+its exact center values and the Eulerian numbers are implemented here
+directly.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ def erfc(x):
 
 
 def bessel_j1(x):
-    """Bessel function of the first kind J1(x); odd by construction."""
+    """Bessel function of the first kind J1(x)."""
     from scipy.special import j1
 
     x = np.asarray(x, dtype=float)
-    out = j1(np.abs(x))
-    out = np.where(x < 0, -out, out)
+    out = j1(x)
     return out if out.ndim else float(out)
 
 
@@ -124,16 +123,15 @@ def _bspline_pieces(s: int) -> np.ndarray:
 def m2s_at_zero(s):
     """Exact center value M_{2s}(0) as a Fraction.
 
-    Computed from the alternating binomial sum
-    M_{2s}(0) = (1/(2s-1)!) * sum_{j=0}^{s-1} (-1)^j C(2s, j) (s-j)^{2s-1}
-    in exact integer arithmetic; the floating-point form of this sum has
-    catastrophic cancellation for large s.
+    M_{2s}(0) = E(2s-1, s-1) / (2s-1)!, the Eulerian number from
+    eulerian_number(2s - 1, s) in exact integer arithmetic; the
+    floating-point form of its alternating sum has catastrophic cancellation
+    for large s.
     """
     s = int(s)
     if s < 1:
         raise InvalidRange(f"s must be >= 1, got {s}")
-    num = sum((-1) ** j * comb(2 * s, j) * (s - j) ** (2 * s - 1) for j in range(s))
-    return Fraction(num, factorial(2 * s - 1))
+    return Fraction(eulerian_number(2 * s - 1, s), factorial(2 * s - 1))
 
 
 def eulerian_number(n, k):
@@ -260,22 +258,18 @@ def gl_cumulative(f, nodes, max_width):
         raise ValueError("nodes must be sorted ascending")
     if nodes.size == 1:
         return np.zeros(1)
-    if gap.max() <= max_width:
-        grid, ends = nodes, None
-    else:
-        # Refined panel grid: gap i is split into nsub[i] uniform panels,
-        # whose points nodes[i] + gap*k/nsub for k = 1..nsub sit at grid
-        # positions ends[i]-nsub[i]+1 .. ends[i].  The last one is set to
-        # nodes[i+1] itself, so every node lies exactly on the grid, at
-        # position ends[i].
-        nsub = np.maximum(1, np.ceil(gap / max_width)).astype(np.int64)
-        ends = np.cumsum(nsub)
-        owner = np.repeat(np.arange(gap.size), nsub)
-        k = np.arange(1, ends[-1] + 1) - np.repeat(ends - nsub, nsub)
-        grid = np.empty(ends[-1] + 1)
-        grid[0] = nodes[0]
-        grid[1:] = nodes[owner] + gap[owner] * k / nsub[owner]
-        grid[ends] = nodes[1:]
+    # Panel grid: gap i is split into nsub[i] uniform panels, whose points
+    # nodes[i] + gap*k/nsub for k = 1..nsub sit at grid positions
+    # ends[i]-nsub[i]+1 .. ends[i].  The last one is set to nodes[i+1]
+    # itself, so every node lies exactly on the grid, at position ends[i].
+    nsub = np.maximum(1, np.ceil(gap / max_width)).astype(np.int64)
+    ends = np.cumsum(nsub)
+    owner = np.repeat(np.arange(gap.size), nsub)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - nsub, nsub)
+    grid = np.empty(ends[-1] + 1)
+    grid[0] = nodes[0]
+    grid[1:] = nodes[owner] + gap[owner] * k / nsub[owner]
+    grid[ends] = nodes[1:]
     lo, hi = grid[:-1], grid[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -290,4 +284,4 @@ def gl_cumulative(f, nodes, max_width):
         h = half[sel]
         panel[sel] = h * (f(mid[sel][:, None] + h[:, None] * x) @ w)
     cum = np.concatenate([[0.0], np.cumsum(panel)])
-    return cum if ends is None else cum[np.concatenate([[0], ends])]
+    return cum[np.concatenate([[0], ends])]

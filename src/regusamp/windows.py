@@ -35,6 +35,21 @@ def _require_integer(name: str, x, least: int) -> None:
         raise InvalidConfig(f"{name} must be an integer >= {least}, got {x!r}")
 
 
+def _require_scale(name: str, x) -> None:
+    """Raise InvalidConfig unless 1e-150 <= x <= 1e150.  The window and its
+    transform square x and scale the square by up to 2*pi**2; in this range
+    the results are finite normal floats."""
+    if not 0 < x < math.inf:
+        raise InvalidConfig(f"{name} must be finite and > 0, got {x!r}")
+    if not 1e-150 <= x <= 1e150:
+        raise InvalidConfig(f"{name} must lie in [1e-150, 1e150], got {x!r}")
+
+
+# Largest B-spline half-order.  The exact piece coefficients of M_{2s} take
+# 0.3 s to build at s = 64 and about s**4 longer beyond (112 s at s = 256).
+MAX_BSPLINE_S = 64
+
+
 class WindowKind(str, Enum):
     RECT = "rect"
     GAUSS = "gauss"
@@ -108,8 +123,9 @@ class WindowSpec:
     """A window family plus its single shape parameter.
 
     Exactly the parameter matching ``kind`` must be present: sigma for
-    Gaussian (width, time units), s for B-spline (half-order, integer >= 2),
-    beta for sinh-type (dimensionless).  The rectangular window has none.
+    Gaussian (width, time units) and beta for sinh-type (dimensionless),
+    each in [1e-150, 1e150]; s for B-spline (half-order, integer in
+    2..MAX_BSPLINE_S).  The rectangular window has none.
     """
 
     kind: WindowKind
@@ -137,13 +153,13 @@ class WindowSpec:
             raise InvalidConfig(
                 f"{kind.value} window needs exactly the parameter {required!r}, got {present}"
             )
-        if required == "sigma" and not 0 < self.sigma < math.inf:
-            raise InvalidConfig(f"sigma must be finite and > 0, got {self.sigma!r}")
         if required == "s":
             _require_integer("s", self.s, 2)
+            if self.s > MAX_BSPLINE_S:
+                raise InvalidConfig(f"s must be <= {MAX_BSPLINE_S}, got {self.s!r}")
             object.__setattr__(self, "s", int(self.s))
-        if required == "beta" and not 0 < self.beta < math.inf:
-            raise InvalidConfig(f"beta must be finite and > 0, got {self.beta!r}")
+        else:
+            _require_scale(required, getattr(self, required))
 
 
 def default_params(kind, cfg: SamplingConfig) -> WindowSpec:
@@ -151,7 +167,8 @@ def default_params(kind, cfg: SamplingConfig) -> WindowSpec:
 
     Gaussian: sigma = sqrt(m / (pi*L*(L - 2*delta))), which balances the
     regularization and truncation errors at a common exponential rate.
-    B-spline: s = ceil((m+1)/2), making the polynomial decay order at least m.
+    B-spline: s = ceil((m+1)/2), making the polynomial decay order at least m;
+    beyond m = 2*MAX_BSPLINE_S - 2 it exceeds MAX_BSPLINE_S.
     Sinh: beta = pi*m*(1+lam-2*tau)/(1+lam); this is the faster-decaying of
     the two admissible choices and the one used throughout the experiments.
     """

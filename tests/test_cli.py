@@ -32,30 +32,26 @@ CFG = SamplingConfig(32, 1.0, 1 / 3, 4)
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(regusamp.__file__))
 
 
-def run_process(*args):
-    """``python -m regusamp.cli *args`` in a fresh interpreter."""
+def run_process(*args, timeout=None):
+    """``python -m regusamp.cli *args`` in a fresh interpreter, ended after
+    ``timeout`` seconds if given."""
     env = dict(os.environ)
-    env.pop("REGUSAMP_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "regusamp.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     """``regusamp *args`` through ``cli.main`` in this process, returned like
     a finished subprocess: exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("REGUSAMP_SEED", raising=False)
-        for name, value in (env_extra or {}).items():
-            mp.setenv(name, value)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(args))
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
@@ -106,10 +102,8 @@ def test_import_path_loads_scipy_special_on_first_use(sample_csv, tmp_path):
     # no thread.
     plan = tmp_path / "clean.plan"
     plan.write_text(PLAN_TEXT.replace("windows = gauss,sinh", "windows = rect,gauss,bspline,sinh"))
-    env = dict(os.environ)
-    env.pop("REGUSAMP_SEED", None)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_PROBE, PACKAGE_ROOT, str(sample_csv[0]), str(plan)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     steps = {s.pop("step"): s for s in map(json.loads, proc.stdout.splitlines())}
     assert steps["import"] == {"scipy.special": False, "scipy.integrate": False,
@@ -396,17 +390,6 @@ def test_experiment_plan_runs_and_is_deterministic(tmp_path):
     assert len(lines) == 5
 
 
-def test_experiment_seed_env_override(tmp_path):
-    plan = tmp_path / "noise.plan"
-    plan.write_text(PLAN_TEXT.replace("eps = 0", "eps = 1e-3\ntrials = 2"))
-    out1, out2, out3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-    run_cli("experiment", "--plan", str(plan), "--out", str(out1))
-    run_cli("experiment", "--plan", str(plan), "--out", str(out2), env_extra={"REGUSAMP_SEED": "77"})
-    run_cli("experiment", "--plan", str(plan), "--out", str(out3), env_extra={"REGUSAMP_SEED": "77"})
-    assert out1.read_bytes() != out2.read_bytes()
-    assert out2.read_bytes() == out3.read_bytes()
-
-
 def test_experiment_bound_violation_exit_4(tmp_path, monkeypatch):
     from regusamp import cli as cli_mod
     from regusamp.harness import BoundViolation
@@ -466,19 +449,33 @@ def test_bounds_non_finite_value_exit_2(window, flag, value, message):
     assert message in proc.stderr
 
 
-@pytest.mark.parametrize("change,env,message", [
-    (("eps = 0", "eps = nan"), {}, "eps must be finite and >= 0, got nan"),
-    (("eps = 0", "eps = inf"), {}, "eps must be finite and >= 0, got inf"),
-    (("seed = 9", "seed = -1"), {}, "seed must be >= 0, got -1"),
-    (("", ""), {"REGUSAMP_SEED": "-1"}, "seed must be >= 0, got -1"),
-    (("", ""), {"REGUSAMP_SEED": "abc"}, "REGUSAMP_SEED must be an integer, got 'abc'"),
-], ids=["plan-eps-nan", "plan-eps-inf", "plan-seed-negative", "env-seed-negative", "env-seed-not-integer"])
-def test_experiment_bad_noise_or_seed_exit_2(tmp_path, change, env, message):
+@pytest.mark.parametrize("window,flag,value,message", [
+    ("gauss", "--sigma", "1e-300", "sigma must lie in [1e-150, 1e150]"),
+    ("gauss", "--sigma", "1e300", "sigma must lie in [1e-150, 1e150]"),
+    ("sinh", "--beta", "1e300", "beta must lie in [1e-150, 1e150]"),
+    ("bspline", "--s", "100000", "s must be <= 64, got 100000"),
+], ids=["sigma-tiny", "sigma-huge", "beta-huge", "s-huge"])
+def test_bounds_shape_parameter_out_of_range_exit_2(window, flag, value, message):
+    # A fresh process with a timeout: a B-spline of half-order 1e5 would
+    # build its exact coefficients for minutes before printing anything.
+    proc = run_process("bounds", "--N", "128", "--lambda", "1", "--tau", "1/3",
+                       "--window", window, "--m", "2", flag, value, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("change,message", [
+    (("eps = 0", "eps = nan"), "eps must be finite and >= 0, got nan"),
+    (("eps = 0", "eps = inf"), "eps must be finite and >= 0, got inf"),
+    (("seed = 9", "seed = -1"), "seed must be >= 0, got -1"),
+], ids=["plan-eps-nan", "plan-eps-inf", "plan-seed-negative"])
+def test_experiment_bad_noise_or_seed_exit_2(tmp_path, change, message):
     # Rejected before any cell runs: no row, no CSV.
     plan = tmp_path / "bad.plan"
     plan.write_text(PLAN_TEXT.replace(*change))
     out = tmp_path / "o.csv"
-    proc = run_cli("experiment", "--plan", str(plan), "--out", str(out), env_extra=env)
+    proc = run_cli("experiment", "--plan", str(plan), "--out", str(out))
     assert proc.returncode == 2
     assert proc.stdout == "" and not out.exists()
     assert message in proc.stderr

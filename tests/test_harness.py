@@ -11,7 +11,7 @@ import pytest
 
 import regusamp
 import regusamp.harness as harness_mod
-from regusamp.bounds import e1_numeric, e2_numeric, noise_amplification, robustness_bound
+from regusamp.bounds import e1_numeric, e2_numeric, robustness_bound
 from regusamp.harness import (
     PRESETS,
     BoundViolation,
@@ -23,7 +23,7 @@ from regusamp.harness import (
     parse_plan,
     run_plan,
 )
-from regusamp.reconstruct import TestFunctionKind, _draw_noise, kernel_matrix
+from regusamp.reconstruct import TestFunctionKind, _draw_noise, kernel_matrix, noise_amplification
 from regusamp.windows import SamplingConfig, WindowKind, default_params
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(regusamp.__file__))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import regusamp.reconstruct as reconstruct_mod
-from regusamp.bounds import noise_amplification
 from regusamp.kernel import KernelEval, NonFiniteInput, ft_window, psi
 from regusamp.reconstruct import (
     KERNEL_WEIGHTS,
@@ -21,9 +20,9 @@ from regusamp.reconstruct import (
     _draw_noise,
     kernel_matrix,
     load_samples,
+    noise_amplification,
     noise_response_max,
     perturb,
-    reconstruct_at,
     reconstruct_grid,
     sample,
 )
@@ -32,6 +31,11 @@ from samples_io import save_samples
 
 CFG = SamplingConfig(128, 1.0, 1 / 3, 5)
 F = TestFunction(TestFunctionKind.SINC_BAND, delta=CFG.delta)
+
+
+def reconstruct_point(ss, w, t):
+    """The reconstruction at the single target t, from a one-element grid."""
+    return float(reconstruct_grid(ss, w, np.array([t]))[0])
 
 
 def block_rows(m):
@@ -105,7 +109,7 @@ def test_perturb_vanishing_noise_limit():
     noisy = perturb(ss, 1e-12, seed=2)
     w = default_params(WindowKind.GAUSS, CFG)
     for t in (0.013, -0.4567, 0.9991):
-        diff = abs(reconstruct_at(noisy, w, t) - reconstruct_at(ss, w, t))
+        diff = abs(reconstruct_point(noisy, w, t) - reconstruct_point(ss, w, t))
         assert diff < 1e-9
 
 
@@ -133,7 +137,7 @@ def test_interpolation_on_grid_exact():
         w = default_params(kind, CFG)
         for ell in rng.integers(ss.index_lo, ss.index_hi + 1, 20):
             want = ss.values[ell - ss.index_lo]
-            assert reconstruct_at(ss, w, ell / CFG.L) == want
+            assert reconstruct_point(ss, w, ell / CFG.L) == want
 
 
 def test_interpolation_identity_of_raw_sum():
@@ -154,7 +158,7 @@ def test_noisy_on_grid_returns_perturbed_sample():
     ss = full_sample_set()
     noisy = perturb(ss, 1e-3, seed=8)
     w = default_params(WindowKind.BSPLINE, CFG)
-    got = reconstruct_at(noisy, w, 3 / CFG.L)
+    got = reconstruct_point(noisy, w, 3 / CFG.L)
     noise = _draw_noise(len(ss), 1e-3, 8)
     assert got == ss.values[3 - ss.index_lo] + noise[3 - ss.index_lo]
 
@@ -163,7 +167,7 @@ def test_zero_samples_zero_everywhere():
     zero = SampleSet(CFG, -CFG.L - CFG.m, CFG.L + CFG.m, np.zeros(2 * (CFG.L + CFG.m) + 1))
     for kind in WindowKind:
         w = default_params(kind, CFG)
-        assert reconstruct_at(zero, w, 0.377) == 0.0
+        assert reconstruct_point(zero, w, 0.377) == 0.0
 
 
 def test_locality_reads_exactly_2m_samples():
@@ -176,14 +180,14 @@ def test_locality_reads_exactly_2m_samples():
     k = math.floor(CFG.L * 0.1234)
     for t, reads in ((0.1234, range(k - CFG.m + 1, k + CFG.m + 1)), (5 / CFG.L, [5])):
         pos = np.asarray(reads) - ss.index_lo
-        want = reconstruct_at(ss, w, t)
+        want = reconstruct_point(ss, w, t)
         others = rng.uniform(-1.0, 1.0, len(ss))
         others[pos] = ss.values[pos]
-        assert reconstruct_at(SampleSet(CFG, ss.index_lo, ss.index_hi, others), w, t) == want
+        assert reconstruct_point(SampleSet(CFG, ss.index_lo, ss.index_hi, others), w, t) == want
         for j in pos:
             moved = ss.values.copy()
             moved[j] += 0.5
-            assert reconstruct_at(SampleSet(CFG, ss.index_lo, ss.index_hi, moved), w, t) != want
+            assert reconstruct_point(SampleSet(CFG, ss.index_lo, ss.index_hi, moved), w, t) != want
 
 
 def test_linearity():
@@ -196,8 +200,8 @@ def test_linearity():
         a, b = rng.uniform(-3, 3, 2)
         t = float(rng.uniform(-1, 1))
         combo = SampleSet(CFG, f.index_lo, f.index_hi, a * f.values + b * g.values)
-        lhs = reconstruct_at(combo, w, t)
-        rhs = a * reconstruct_at(f, w, t) + b * reconstruct_at(g, w, t)
+        lhs = reconstruct_point(combo, w, t)
+        rhs = a * reconstruct_point(f, w, t) + b * reconstruct_point(g, w, t)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
@@ -205,9 +209,9 @@ def test_index_out_of_range_message():
     ss = sample(F, CFG, -10, 10)
     w = default_params(WindowKind.GAUSS, CFG)
     with pytest.raises(IndexOutOfRange, match=r"requires samples for indices \[124, 133\]"):
-        reconstruct_at(ss, w, 0.5001)  # k = floor(128.02) = 128
+        reconstruct_point(ss, w, 0.5001)  # k = floor(128.02) = 128
     with pytest.raises(IndexOutOfRange, match=r"needs sample index 128"):
-        reconstruct_at(ss, w, 0.5)  # exactly on-grid
+        reconstruct_point(ss, w, 0.5)  # exactly on-grid
 
 
 def test_noise_propagation_bound():
@@ -234,7 +238,7 @@ def test_grid_matches_pointwise():
     w = default_params(WindowKind.BSPLINE, CFG)
     t = np.array([-1.0, -0.57, 3 / CFG.L, 0.0, 0.123456, 1.0])
     grid_vals = reconstruct_grid(ss, w, t)
-    point_vals = np.array([reconstruct_at(ss, w, float(x)) for x in t])
+    point_vals = np.array([reconstruct_point(ss, w, float(x)) for x in t])
     assert np.array_equal(grid_vals, point_vals)
 
 
@@ -271,7 +275,7 @@ def test_non_finite_targets_rejected(bad):
     ss = full_sample_set()
     w = default_params(WindowKind.GAUSS, CFG)
     with pytest.raises(NonFiniteInput):
-        reconstruct_at(ss, w, bad)
+        reconstruct_point(ss, w, bad)
     with pytest.raises(NonFiniteInput):
         reconstruct_grid(ss, w, np.array([0.1, bad]))
     with pytest.raises(NonFiniteInput):

@@ -9,6 +9,7 @@ import scipy.special
 from regusamp import specfun
 from regusamp.kernel import ft_window
 from regusamp.windows import (
+    MAX_BSPLINE_S,
     InvalidConfig,
     SamplingConfig,
     WindowKind,
@@ -94,10 +95,18 @@ def test_config_errors_are_typed():
         (WindowKind.BSPLINE, {"s": math.inf}), (WindowKind.BSPLINE, {"s": 2.5}),
         (WindowKind.SINH, {"beta": -1.0}), (WindowKind.GAUSS, {"sigma": math.inf}),
         (WindowKind.SINH, {"beta": math.inf}), (WindowKind.SINH, {"beta": math.nan}),
+        (WindowKind.GAUSS, {"sigma": 9.9e-151}), (WindowKind.GAUSS, {"sigma": 1.1e150}),
+        (WindowKind.SINH, {"beta": 9.9e-151}), (WindowKind.SINH, {"beta": 1.1e150}),
+        (WindowKind.BSPLINE, {"s": MAX_BSPLINE_S + 1}),
     ]
     for kind, params in bad_windows:
         with pytest.raises(InvalidConfig):
             WindowSpec(kind, **params)
+    # The limits themselves are accepted.
+    for kind, params in [(WindowKind.GAUSS, {"sigma": 1e-150}), (WindowKind.GAUSS, {"sigma": 1e150}),
+                         (WindowKind.SINH, {"beta": 1e-150}), (WindowKind.SINH, {"beta": 1e150}),
+                         (WindowKind.BSPLINE, {"s": MAX_BSPLINE_S})]:
+        WindowSpec(kind, **params)
 
 
 # ---------------------------------------------------------------------------
