@@ -11,7 +11,8 @@ stdout carries machine-parseable CSV only; diagnostics go to stderr.  Exit
 codes are stable API: 0 ok, 1 selftest failure, 2 usage, 3 missing sample
 range, 4 bound violation, 5 I/O error.  ``reconstruct`` and ``bounds``
 write their CSV only after every row is computed, so a failing call leaves
-stdout empty.
+stdout empty; ``reconstruct`` then writes its rows in chunks of
+_ROWS_PER_WRITE, each formatted by one call.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ EXIT_USAGE = 2
 EXIT_DATA_RANGE = 3
 EXIT_BOUND = 4
 EXIT_IO = 5
+
+# Rows of `reconstruct` output formatted by one call and written at once, so
+# the text held at a time is bounded however many targets there are.
+_ROWS_PER_WRITE = 4096
 
 
 @functools.cache
@@ -127,14 +132,19 @@ def _cmd_reconstruct(args) -> int:
             print(f"--grid count must be >= 1, got {count}", file=sys.stderr)
             return EXIT_USAGE
         check_finite("targets", [a, b])
-        points = np.linspace(a, b, count)
+        try:
+            points = np.linspace(a, b, count)
+        except MemoryError:
+            raise ValueError(f"--grid count {count} is too large to allocate") from None
     try:
         values = reconstruct_grid(ss, w, points)
     except IndexOutOfRange as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA_RANGE
-    rows = "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(points.tolist(), values.tolist()))
-    sys.stdout.write("t,value\n" + rows)
+    sys.stdout.write("t,value\n")
+    for i in range(0, points.size, _ROWS_PER_WRITE):
+        pairs = np.column_stack((points[i:i + _ROWS_PER_WRITE], values[i:i + _ROWS_PER_WRITE]))
+        sys.stdout.write("%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist()))
     return EXIT_OK
 
 

@@ -144,7 +144,10 @@ def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
     kind, tau, lam, m = plan.cells()[i]
     cfg = SamplingConfig(plan.N, lam, tau, m)
     w = default_params(kind, cfg)
-    t = np.linspace(-1.0, 1.0, plan.S)
+    try:
+        t = np.linspace(-1.0, 1.0, plan.S)
+    except MemoryError:
+        raise ValueError(f"S = {plan.S} targets are too large to allocate") from None
     lo, hi = -cfg.L - m, cfg.L + m
     if plan.eps > 0:
         what = "perturbation"

@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import KernelEval, check_finite, psi, sinc
+from .kernel import KernelEval, NonFiniteInput, check_finite, psi, sinc
 from .windows import SamplingConfig, WindowSpec
 
 
@@ -381,34 +381,95 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
     return max(_map_blocks(w, cfg, t, reduce))
 
 
+# translate() deletes these bytes, and keeps the separators ',' and '\n' of a
+# sample CSV and the four whitespace bytes \x1c-\x1f that str.strip() removes
+# but int() and float() reject.
+_NOT_SEPARATOR = bytes(set(range(128)) - {ord(","), ord("\n"), 0x1c, 0x1d, 0x1e, 0x1f})
+
+
+def _one_comma_per_row(rows: str) -> bool:
+    """Whether every line of ``rows`` holds exactly one comma and none of
+    \x1c-\x1f: then its commas and newlines alternate, starting and ending
+    with a comma."""
+    return rows.encode("ascii").translate(None, _NOT_SEPARATOR) == b",\n" * rows.count("\n") + b","
+
+
 def load_samples(path, cfg: SamplingConfig) -> SampleSet:
     """Read an ``index,value`` CSV into a SampleSet.
 
-    Indices must form a contiguous ascending range.  A row without exactly
-    two fields, or with a field that is not a number, raises ValueError
-    naming the file and its line number.
+    The file is ASCII text with universal newlines: the header line
+    ``index,value``, then one ``index,value`` row per line.  Blank and
+    whitespace-only lines are skipped, whitespace around either field is
+    ignored, and a field may be any numeral that int() or float() accepts
+    (``+3``, ``1_0``, ``2.5e-3``).  Indices must form a contiguous ascending
+    range and values must be finite.  Every violation raises ValueError
+    (NonFiniteInput for a value) naming the file and, where one line is at
+    fault, its line number.
+
+    The file is read in one piece and checked with whole-text operations:
+    each column is parsed with one map over the fields of all rows.  Only a
+    file with blank lines or \x1c-\x1f around a row has its lines stripped
+    and rejoined first, and only when a check fails does a scan over the
+    lines look for the first one at fault.
     """
-    indices = []
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "index,value":
-            raise ValueError(f"expected header 'index,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                s_idx, s_val = line.split(",")
-                indices.append(int(s_idx))
-                values.append(float(s_val))
-            except ValueError as exc:
-                n = line.count(",") + 1
-                why = exc if n == 2 else f"expected 2 fields 'index,value', got {n}"
-                raise ValueError(f"{path}, line {lineno}: {why}") from None
-    if not indices:
-        raise ValueError("sample file contains no rows")
-    lo, hi = indices[0], indices[-1]
-    if indices != list(range(lo, hi + 1)):
-        raise ValueError("sample indices must be contiguous and ascending")
-    return SampleSet(cfg, lo, hi, np.array(values))
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # exc.object is the whole file; a non-ASCII byte ends no line.
+        lineno = len(exc.object[:exc.start + 1].splitlines())
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    header, _, body = text.partition("\n")
+    header = header.strip()
+    if header != "index,value":
+        raise ValueError(f"{path}, line 1: expected header 'index,value', got {header!r}")
+    rows = body.removesuffix("\n")
+    if not _one_comma_per_row(rows):
+        rows = "\n".join(filter(None, map(str.strip, body.split("\n"))))
+        if not rows:
+            raise ValueError(f"{path}: sample file contains no rows")
+        if not _one_comma_per_row(rows):
+            raise _bad_row(path, body)
+    fields = rows.replace("\n", ",").split(",")
+    n = len(fields) // 2
+    try:
+        indices = list(map(int, fields[0::2]))
+        values = np.fromiter(map(float, fields[1::2]), float, n)
+    except ValueError:
+        raise _bad_row(path, body) from None
+    lo = indices[0]
+    if indices != list(range(lo, lo + n)):
+        k = next(k for k, index in enumerate(indices) if index != lo + k)
+        raise ValueError(
+            f"{path}, line {_row_line(body, k)}: sample indices must be contiguous and ascending, "
+            f"expected {lo + k}, got {indices[k]}"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteInput(f"{path}, line {_row_line(body, k)}: sample values must be finite, got {float(values[k])!r}")
+    return SampleSet(cfg, lo, lo + n - 1, values)
+
+
+def _row_line(body: str, k: int) -> int:
+    """Line number of row k of a sample file whose text after the header
+    line is ``body``: its k-th line that is not blank."""
+    return [n for n, line in enumerate(body.split("\n"), start=2) if line.strip()][k]
+
+
+def _bad_row(path, body: str) -> ValueError:
+    """The error for the first line of ``body`` (the text after the header
+    line) that is neither blank nor two fields that int() and float() accept."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            s_idx, s_val = line.split(",")
+            int(s_idx)
+            float(s_val)
+        except ValueError as exc:
+            n = line.count(",") + 1
+            why = exc if n == 2 else f"expected 2 fields 'index,value', got {n}"
+            return ValueError(f"{path}, line {lineno}: {why}")
+    raise AssertionError(f"{path}: the whole-text checks rejected a file whose every row parses")

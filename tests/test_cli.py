@@ -541,6 +541,37 @@ def test_reconstruct_malformed_sample_row_exit_2(sample_csv, tmp_path):
     assert f"{bad}, line 4: expected 2 fields" in proc.stderr
 
 
+# cli.main in a fresh interpreter whose address space is capped at 2 GB, set
+# in that interpreter alone; the arguments are the package root, then the
+# command line.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.path.insert(0, sys.argv[1])
+from regusamp import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("reconstruct", "--samples", "{samples}", "--N", "32", "--lambda", "1", "--tau", "1/3", "--m", "4",
+      "--window", "rect", "--grid=0,0.5,1000000000000"), "--grid count 1000000000000"),
+    (("experiment", "--plan", "{plan}", "--out", "{out}", "--jobs", "1"), "S = 1000000000000000"),
+], ids=["grid-count", "plan-S"])
+def test_targets_too_large_to_allocate_exit_2(sample_csv, tmp_path, argv, named):
+    plan = tmp_path / "huge.plan"
+    plan.write_text(PLAN_TEXT.replace("S = 501", "S = 1000000000000000"))
+    paths = {"samples": sample_csv[0], "plan": plan, "out": tmp_path / "o.csv"}
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, PACKAGE_ROOT, *(a.format(**paths) for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"{named} " in proc.stderr and "too large to allocate" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_experiment_missing_plan_exit_5(tmp_path):
     proc = run_cli("experiment", "--plan", str(tmp_path / "nope.plan"), "--out", str(tmp_path / "o.csv"))
     assert proc.returncode == 5

@@ -597,8 +597,9 @@ def test_csv_round_trip(tmp_path):
 def test_csv_rejects_gaps(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("index,value\n0,1.0\n2,2.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         load_samples(path, CFG)
+    assert str(info.value) == f"{path}, line 3: sample indices must be contiguous and ascending, expected 1, got 2"
 
 
 @pytest.mark.parametrize("row,why", [
@@ -607,6 +608,8 @@ def test_csv_rejects_gaps(tmp_path):
     ("1;2.0", "expected 2 fields 'index,value', got 1"),
     ("1,abc", "could not convert string to float: 'abc'"),
     ("1.5,2.0", "invalid literal for int"),
+    ("0,1.0 # note", "could not convert string to float: '1.0 # note'"),
+    ("1 2,3.5", "invalid literal for int() with base 10: '1 2'"),
 ])
 def test_csv_bad_row_names_file_and_line(tmp_path, row, why):
     # Line 3 is blank and skipped; the bad row is line 4.
@@ -619,8 +622,45 @@ def test_csv_bad_row_names_file_and_line(tmp_path, row, why):
 
 def test_non_finite_samples_rejected(tmp_path):
     path = tmp_path / "nan.csv"
-    path.write_text("index,value\n0,1.0\n1,nan\n2,2.0\n")
-    with pytest.raises(NonFiniteInput):
+    path.write_text("index,value\n0,1.0\n\n1,nan\n2,2.0\n")
+    with pytest.raises(NonFiniteInput) as info:
         load_samples(path, CFG)
+    assert str(info.value) == f"{path}, line 4: sample values must be finite, got nan"
     with pytest.raises(NonFiniteInput):
         SampleSet(CFG, 0, 1, np.array([1.0, math.inf]))
+
+
+@pytest.mark.parametrize("data,why", [
+    (b"idx,value\n0,1.0\n", ", line 1: expected header 'index,value', got 'idx,value'"),
+    (b"index,value\n\n  \n", ": sample file contains no rows"),
+    (b"index,value\n0,1.0\n1,2.0\n\n0,3.0\n", ", line 5: sample indices must be contiguous and ascending, expected 2, got 0"),
+    (b"index,value\n0,1.0\n1,2.\xc3\xa9\n",
+     ", line 3: 'ascii' codec can't decode byte 0xc3 in position 22: ordinal not in range(128)"),
+    (b"index,value\r0,1.0\r\n1,2.\xc3\xa9\r",
+     ", line 3: 'ascii' codec can't decode byte 0xc3 in position 23: ordinal not in range(128)"),
+], ids=["header", "no-rows", "out-of-order", "non-ascii", "non-ascii-cr"])
+def test_sample_file_error_names_file_and_line(tmp_path, data, why):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_samples(path, CFG)
+    assert str(info.value) == f"{path}{why}"
+
+
+@pytest.mark.parametrize("data,lo,fields", [
+    (b"index,value\r\n0,1.5\r\n1,-2.25\r\n", 0, ["1.5", "-2.25"]),
+    (b"index,value\r0,1.5\r1,-2.25\r", 0, ["1.5", "-2.25"]),
+    (b"index,value\n\n4,1.5\n  \n\t\n5,-2.25\n \n", 4, ["1.5", "-2.25"]),
+    (b" index,value \n -1 ,0.125\n0,\t7 \n\x0b1 ,\x0c8\x1c\n", -1, ["0.125", "7", "8"]),
+    (b"index,value\n0,1.5\n1,-2.25", 0, ["1.5", "-2.25"]),
+    (b"index,value\n+3,1_0\n4, 2.5e-3 \n5,0.1000000000000000055511151231257827\n", 3,
+     ["1_0", "2.5e-3", "0.1000000000000000055511151231257827"]),
+    (b"index,value\n9,+3\n1_0,-0\n", 9, ["+3", "-0"]),
+], ids=["crlf", "cr", "blank-lines", "spaces", "no-final-newline", "numerals", "signs"])
+def test_sample_file_syntax(tmp_path, data, lo, fields):
+    # Each value is bit-equal to float() of its field, -0 included.
+    path = tmp_path / "ok.csv"
+    path.write_bytes(data)
+    ss = load_samples(path, CFG)
+    assert (ss.index_lo, ss.index_hi) == (lo, lo + len(fields) - 1)
+    assert ss.values.tobytes() == np.array([float(f) for f in fields]).tobytes()
