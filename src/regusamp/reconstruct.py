@@ -381,16 +381,19 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
     return max(_map_blocks(w, cfg, t, reduce))
 
 
-# translate() deletes these bytes, and keeps the separators ',' and '\n' of a
-# sample CSV and the four whitespace bytes \x1c-\x1f that str.strip() removes
-# but int() and float() reject.
-_NOT_SEPARATOR = bytes(set(range(128)) - {ord(","), ord("\n"), 0x1c, 0x1d, 0x1e, 0x1f})
+# translate() deletes these bytes and keeps the separators ',' and '\n' of a
+# sample CSV.
+_NOT_SEPARATOR = bytes(set(range(128)) - {ord(","), ord("\n")})
+
+# Characters of sample text parsed at a time, so that the Python objects made
+# for the fields of one piece are all that is held beside the text and the
+# values read so far, however long the file.
+_CHUNK_CHARS = 1 << 16
 
 
 def _one_comma_per_row(rows: str) -> bool:
-    """Whether every line of ``rows`` holds exactly one comma and none of
-    \x1c-\x1f: then its commas and newlines alternate, starting and ending
-    with a comma."""
+    """Whether every line of ``rows`` holds exactly one comma: then its
+    commas and newlines alternate, starting and ending with a comma."""
     return rows.encode("ascii").translate(None, _NOT_SEPARATOR) == b",\n" * rows.count("\n") + b","
 
 
@@ -406,11 +409,13 @@ def load_samples(path, cfg: SamplingConfig) -> SampleSet:
     (NonFiniteInput for a value) naming the file and, where one line is at
     fault, its line number.
 
-    The file is read in one piece and checked with whole-text operations:
-    each column is parsed with one map over the fields of all rows.  Only a
-    file with blank lines or \x1c-\x1f around a row has its lines stripped
-    and rejoined first, and only when a check fails does a scan over the
-    lines look for the first one at fault.
+    The file is read in one piece and parsed in pieces of about _CHUNK_CHARS
+    characters that end at a line end.  Each piece has its lines stripped,
+    its blank lines dropped and its commas counted in one pass, and each of
+    its columns parsed by one map over its fields.  A row that does not
+    parse is reported before an index out of order, and that before a
+    value that is not finite, wherever each lies in the file.  Only when a
+    check fails does a scan over the lines look for the first one at fault.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -419,51 +424,65 @@ def load_samples(path, cfg: SamplingConfig) -> SampleSet:
         # exc.object is the whole file; a non-ASCII byte ends no line.
         lineno = len(exc.object[:exc.start + 1].splitlines())
         raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    header, _, body = text.partition("\n")
-    header = header.strip()
+    start = text.find("\n") + 1 or len(text)
+    header = text[:start].strip()
     if header != "index,value":
         raise ValueError(f"{path}, line 1: expected header 'index,value', got {header!r}")
-    rows = body.removesuffix("\n")
-    if not _one_comma_per_row(rows):
-        rows = "\n".join(filter(None, map(str.strip, body.split("\n"))))
+    chunks = []
+    n = 0
+    gap = None  # (row, index) of the first index out of order
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        rows = "\n".join(filter(None, map(str.strip, text[start:stop].split("\n"))))
+        start = stop
         if not rows:
-            raise ValueError(f"{path}: sample file contains no rows")
+            continue
         if not _one_comma_per_row(rows):
-            raise _bad_row(path, body)
-    fields = rows.replace("\n", ",").split(",")
-    n = len(fields) // 2
-    try:
-        indices = list(map(int, fields[0::2]))
-        values = np.fromiter(map(float, fields[1::2]), float, n)
-    except ValueError:
-        raise _bad_row(path, body) from None
-    lo = indices[0]
-    if indices != list(range(lo, lo + n)):
-        k = next(k for k, index in enumerate(indices) if index != lo + k)
+            raise _bad_row(path, text)
+        fields = rows.replace("\n", ",").split(",")
+        try:
+            indices = list(map(int, fields[0::2]))
+            chunks.append(np.fromiter(map(float, fields[1::2]), float, len(indices)))
+        except ValueError:
+            raise _bad_row(path, text) from None
+        if not n:
+            lo = indices[0]
+        if gap is None and indices != list(range(lo + n, lo + n + len(indices))):
+            gap = next((k, index) for k, index in enumerate(indices, start=n) if index != lo + k)
+        n += len(indices)
+    if not n:
+        raise ValueError(f"{path}: sample file contains no rows")
+    if gap is not None:
+        k, index = gap
         raise ValueError(
-            f"{path}, line {_row_line(body, k)}: sample indices must be contiguous and ascending, "
-            f"expected {lo + k}, got {indices[k]}"
+            f"{path}, line {_row_line(text, k)}: sample indices must be contiguous and ascending, "
+            f"expected {lo + k}, got {index}"
         )
+    values = np.concatenate(chunks)
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise NonFiniteInput(f"{path}, line {_row_line(body, k)}: sample values must be finite, got {float(values[k])!r}")
+        raise NonFiniteInput(f"{path}, line {_row_line(text, k)}: sample values must be finite, got {float(values[k])!r}")
     return SampleSet(cfg, lo, lo + n - 1, values)
 
 
-def _row_line(body: str, k: int) -> int:
-    """Line number of row k of a sample file whose text after the header
-    line is ``body``: its k-th line that is not blank."""
-    return [n for n, line in enumerate(body.split("\n"), start=2) if line.strip()][k]
+def _numbered_rows(text: str):
+    """(line number, stripped line) for each line of a sample file's
+    ``text`` after the header line that is not blank."""
+    for lineno, line in enumerate(text.split("\n")[1:], start=2):
+        if line := line.strip():
+            yield lineno, line
 
 
-def _bad_row(path, body: str) -> ValueError:
-    """The error for the first line of ``body`` (the text after the header
-    line) that is neither blank nor two fields that int() and float() accept."""
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        line = line.strip()
-        if not line:
-            continue
+def _row_line(text: str, k: int) -> int:
+    """Line number of row k of a sample file's ``text``."""
+    return [lineno for lineno, _ in _numbered_rows(text)][k]
+
+
+def _bad_row(path, text: str) -> ValueError:
+    """The error for the first row of a sample file's ``text`` that is not
+    two fields that int() and float() accept."""
+    for lineno, line in _numbered_rows(text):
         try:
             s_idx, s_val = line.split(",")
             int(s_idx)

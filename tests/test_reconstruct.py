@@ -664,3 +664,44 @@ def test_sample_file_syntax(tmp_path, data, lo, fields):
     ss = load_samples(path, CFG)
     assert (ss.index_lo, ss.index_hi) == (lo, lo + len(fields) - 1)
     assert ss.values.tobytes() == np.array([float(f) for f in fields]).tobytes()
+
+
+@pytest.mark.parametrize("chars", [1, 7, 30])
+def test_sample_file_parsed_in_pieces(tmp_path, monkeypatch, chars):
+    # Pieces of a few characters end after every line or every few lines:
+    # the samples, and which error is reported first, are those of one piece.
+    monkeypatch.setattr(reconstruct_mod, "_CHUNK_CHARS", chars)
+    path = tmp_path / "pieces.csv"
+    path.write_bytes(b"index,value\n\n-2, 0.5\n\n \n-1,1_0\r\n0,2.5e-3\n1,-0\n")
+    ss = load_samples(path, CFG)
+    assert (ss.index_lo, ss.index_hi) == (-2, 1)
+    assert ss.values.tobytes() == np.array([0.5, 10.0, 2.5e-3, -0.0]).tobytes()
+    for text, why in [
+        ("index,value\n0,1.0\n2,nan\n\n3,abc\n", "line 5: could not convert string to float: 'abc'"),
+        ("index,value\n0,1.0\n\n2,2.0\n3,nan\n", "line 4: sample indices must be contiguous and ascending, expected 1, got 2"),
+        ("index,value\n0,1.0\n\n1,2.0\n2,inf\n", "line 5: sample values must be finite, got inf"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_samples(path, CFG)
+        assert str(info.value) == f"{path}, {why}"
+
+
+def test_sample_file_memory_bounded_by_its_text(tmp_path):
+    # The reader holds the text, the values and the fields of one piece: a
+    # peak below twice the file's size plus 2 MB.  Line-by-line reading held
+    # about four times the file's size, whole-text parsing about eleven.
+    import tracemalloc
+
+    rows = 50_000
+    path = tmp_path / "big.csv"
+    rng = np.random.default_rng(3)
+    path.write_text("index,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(rng.standard_normal(rows).tolist())))
+    tracemalloc.start()
+    try:
+        ss = load_samples(path, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ss) == rows
+    assert peak < 2 * path.stat().st_size + 2**21
