@@ -9,9 +9,11 @@ Subcommands:
 
 stdout carries machine-parseable CSV only; diagnostics go to stderr.  Exit
 codes are stable API: 0 ok, 1 selftest failure, 2 usage, 3 missing sample
-range, 4 bound violation, 5 I/O error.  ``reconstruct`` and ``bounds``
-write their CSV only after every row is computed, so a failing call leaves
-stdout empty; ``reconstruct`` then writes its rows in chunks of
+range, 4 bound violation, 5 I/O error.  ``main`` alone chooses the code,
+from the type of the error a command raises, and prints its message; any
+other exception is a defect and keeps its traceback.  ``reconstruct`` and
+``bounds`` write their CSV only after every row is computed, so a failing
+call leaves stdout empty; ``reconstruct`` then writes its rows in chunks of
 _ROWS_PER_WRITE, each formatted by one call.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -76,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--samples", required=True, help="CSV with header index,value")
     grp = rec.add_mutually_exclusive_group(required=True)
     grp.add_argument("--at", type=float, help="single evaluation point t")
-    grp.add_argument("--grid", help="a,b,count for an inclusive equidistant grid")
+    grp.add_argument("--grid", type=grid, metavar="a,b,count", help="inclusive equidistant grid")
 
     bnd = sub.add_parser("bounds", help="print error constants")
     add_cfg_flags(bnd)
@@ -94,6 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="fast invariant suite")
     return parser
+
+
+def grid(text: str) -> tuple[float, float, int]:
+    """The a, b and count of ``--grid a,b,count``.  argparse reports text
+    that does not split into three numbers as an invalid grid value."""
+    a, b, count = text.split(",")
+    return float(a), float(b), int(count)
 
 
 def _window_from_flags(args, cfg: SamplingConfig) -> WindowSpec:
@@ -114,33 +124,16 @@ def _window_from_flags(args, cfg: SamplingConfig) -> WindowSpec:
 def _cmd_reconstruct(args) -> int:
     cfg = SamplingConfig(args.N, args.lam, args.tau, args.m)
     w = _window_from_flags(args, cfg)
-    try:
-        ss = load_samples(args.samples, cfg)
-    except OSError as exc:
-        print(f"cannot read samples: {exc}", file=sys.stderr)
-        return EXIT_IO
+    ss = load_samples(args.samples, cfg)
     if args.at is not None:
         points = np.array([args.at])
     else:
-        try:
-            a_s, b_s, n_s = args.grid.split(",")
-            a, b, count = float(a_s), float(b_s), int(n_s)
-        except ValueError:
-            print("--grid expects a,b,count", file=sys.stderr)
-            return EXIT_USAGE
+        a, b, count = args.grid
         if count < 1:
-            print(f"--grid count must be >= 1, got {count}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--grid count must be >= 1, got {count}")
         check_finite("targets", [a, b])
-        try:
-            points = np.linspace(a, b, count)
-        except MemoryError:
-            raise ValueError(f"--grid count {count} is too large to allocate") from None
-    try:
-        values = reconstruct_grid(ss, w, points)
-    except IndexOutOfRange as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATA_RANGE
+        points = harness.equidistant(a, b, count, f"--grid count {count}")
+    values = reconstruct_grid(ss, w, points)
     sys.stdout.write("t,value\n")
     for i in range(0, points.size, _ROWS_PER_WRITE):
         pairs = np.column_stack((points[i:i + _ROWS_PER_WRITE], values[i:i + _ROWS_PER_WRITE]))
@@ -149,10 +142,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        m_values = [int(x) for x in str(args.m).split(",")]
-    except ValueError:
-        raise ValueError(f"--m expects an integer or a comma list of integers, got {args.m!r}") from None
+    item = r"\s*[+-]?\d+(?:_\d+)*\s*"  # an integer as int() reads it
+    if not re.fullmatch(rf"{item}(?:,{item})*", args.m):
+        raise ValueError(f"--m expects an integer or a comma list of integers, got {args.m!r}")
+    m_values = [int(x) for x in args.m.split(",")]
     rows = ["window,m,tau,lambda,e1,e2,closed_form,robust_generic,robust_specialized,eta_max\n"]
     for m in m_values:
         cfg = SamplingConfig(args.N, args.lam, args.tau, m)
@@ -169,21 +162,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        plans = harness.load_preset(args.preset) if args.preset else harness.load_plans(args.plan)
-    except OSError as exc:
-        print(f"cannot read plan: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        rows = [row for plan in plans for row in harness.run_plan(plan, jobs=max(1, args.jobs))]
-    except harness.BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    try:
-        harness.emit_csv(rows, args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    plans = harness.load_preset(args.preset) if args.preset else harness.load_plans(args.plan)
+    rows = [row for plan in plans for row in harness.run_plan(plan, jobs=max(1, args.jobs))]
+    harness.emit_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -265,17 +246,22 @@ def _join_point_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
+    command = {"reconstruct": _cmd_reconstruct, "bounds": _cmd_bounds,
+               "experiment": _cmd_experiment, "selftest": _cmd_selftest}[args.command]
+    # The exit code of each error type, the first match counting: a request
+    # too large to allocate, its output included, is a usage error.
+    exit_codes = (
+        (IndexOutOfRange, EXIT_DATA_RANGE),
+        (harness.BoundViolation, EXIT_BOUND),
+        (OSError, EXIT_IO),
+        (ValueError, EXIT_USAGE),
+        (MemoryError, EXIT_USAGE),
+    )
     try:
-        if args.command == "reconstruct":
-            return _cmd_reconstruct(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        return _cmd_selftest(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return command(args)
+    except tuple(error for error, _ in exit_codes) as exc:
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
+        return next(code for error, code in exit_codes if isinstance(exc, error))
 
 
 if __name__ == "__main__":

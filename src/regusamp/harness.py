@@ -138,16 +138,24 @@ def _perturb_cell(plan: ExperimentPlan, cell_index: int, cfg, w, t, lo: int, hi:
     return measured, robustness_bound(w, cfg, plan.eps).value
 
 
+def equidistant(a: float, b: float, count: int, named: str) -> np.ndarray:
+    """np.linspace(a, b, count); a count too large to allocate, however
+    large, raises ValueError "``named`` is too large to allocate"."""
+    if count * 8 <= np.iinfo(np.intp).max:  # beyond, numpy raises ValueError or IndexError
+        try:
+            return np.linspace(a, b, count)
+        except MemoryError:
+            pass
+    raise ValueError(f"{named} is too large to allocate")
+
+
 def _run_cell(plan: ExperimentPlan, i: int) -> ErrorRow:
     """Row of cell i: a perturbation run when eps > 0, else a clean one,
     on S equidistant targets covering [-1, 1] inclusive."""
     kind, tau, lam, m = plan.cells()[i]
     cfg = SamplingConfig(plan.N, lam, tau, m)
     w = default_params(kind, cfg)
-    try:
-        t = np.linspace(-1.0, 1.0, plan.S)
-    except MemoryError:
-        raise ValueError(f"S = {plan.S} targets are too large to allocate") from None
+    t = equidistant(-1.0, 1.0, plan.S, f"S = {plan.S}")
     lo, hi = -cfg.L - m, cfg.L + m
     if plan.eps > 0:
         what = "perturbation"

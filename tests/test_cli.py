@@ -17,7 +17,10 @@ import pytest
 
 import regusamp
 from regusamp import cli
+from regusamp.harness import BoundViolation
+from regusamp.kernel import NonFiniteInput
 from regusamp.reconstruct import (
+    IndexOutOfRange,
     TestFunction,
     TestFunctionKind,
     reconstruct_grid,
@@ -541,35 +544,100 @@ def test_reconstruct_malformed_sample_row_exit_2(sample_csv, tmp_path):
     assert f"{bad}, line 4: expected 2 fields" in proc.stderr
 
 
-# cli.main in a fresh interpreter whose address space is capped at 2 GB, set
-# in that interpreter alone; the arguments are the package root, then the
-# command line.
+# cli.main in a fresh interpreter whose address space is capped, set in that
+# interpreter alone; the arguments are the package root, the cap in MB, then
+# the command line.
 CAPPED_CLI = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
 sys.path.insert(0, sys.argv[1])
 from regusamp import cli
-sys.exit(cli.main(sys.argv[2:]))
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
+def run_capped(cap_mb, *args):
+    """``regusamp *args`` in a fresh interpreter capped at ``cap_mb`` MB of
+    address space, with a one-thread BLAS."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, PACKAGE_ROOT, str(cap_mb), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+RECONSTRUCT_FLAGS = ("reconstruct", "--N", "32", "--lambda", "1", "--tau", "1/3", "--m", "4", "--window", "rect")
+
+
 @pytest.mark.parametrize("argv,named", [
-    (("reconstruct", "--samples", "{samples}", "--N", "32", "--lambda", "1", "--tau", "1/3", "--m", "4",
-      "--window", "rect", "--grid=0,0.5,1000000000000"), "--grid count 1000000000000"),
+    ((*RECONSTRUCT_FLAGS, "--samples", "{samples}", "--grid=0,0.5,1000000000000"), "--grid count 1000000000000"),
     (("experiment", "--plan", "{plan}", "--out", "{out}", "--jobs", "1"), "S = 1000000000000000"),
 ], ids=["grid-count", "plan-S"])
 def test_targets_too_large_to_allocate_exit_2(sample_csv, tmp_path, argv, named):
     plan = tmp_path / "huge.plan"
     plan.write_text(PLAN_TEXT.replace("S = 501", "S = 1000000000000000"))
     paths = {"samples": sample_csv[0], "plan": plan, "out": tmp_path / "o.csv"}
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, PACKAGE_ROOT, *(a.format(**paths) for a in argv)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_capped(2048, *(a.format(**paths) for a in argv))
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"{named} " in proc.stderr and "too large to allocate" in proc.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+# Counts beyond numpy's largest array, where np.linspace raises ValueError
+# ("array is too big" from 2**60, "Maximum allowed size exceeded" above
+# 2**63) or, within about 512 of 2**63, IndexError; none allocates, so they
+# run in process.
+@pytest.mark.parametrize("count", [2**60, 2**63 - 1, 10**20], ids=["2^60", "2^63-1", "1e20"])
+@pytest.mark.parametrize("source", ["grid", "plan"])
+def test_count_beyond_largest_array_is_named_exit_2(sample_csv, tmp_path, source, count):
+    out = tmp_path / "o.csv"
+    if source == "grid":
+        named = f"--grid count {count}"
+        proc = run_cli(*RECONSTRUCT_FLAGS, "--samples", str(sample_csv[0]), f"--grid=0,1,{count}")
+    else:
+        named = f"S = {count}"
+        plan = tmp_path / "huge.plan"
+        plan.write_text(PLAN_TEXT.replace("S = 501", f"S = {count}"))
+        proc = run_cli("experiment", "--plan", str(plan), "--out", str(out), "--jobs", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"{named} is too large to allocate\n"
+    assert not out.exists()
+
+
+def test_output_too_large_to_allocate_exit_2(sample_csv):
+    # At 700 MB the 381 MiB of targets fit and the 381 MiB of reconstructed
+    # values do not: reconstruct_grid's output raises numpy's MemoryError.
+    proc = run_capped(700, *RECONSTRUCT_FLAGS, "--samples", str(sample_csv[0]), "--grid=0,0.5,50000000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "allocate" in proc.stderr
+
+
+@pytest.mark.parametrize("error,code", [
+    (IndexOutOfRange("t = 2.0 needs sample index 128; sample set covers [-68, 68]"), 3),
+    (BoundViolation("approximation error 2e-01 exceeds bound 1e-01 at window=sinh, m=2"), 4),
+    (FileNotFoundError(2, "No such file or directory", "nope.csv"), 5),
+    (NonFiniteInput("targets must be finite, got [nan]"), 2),
+    (MemoryError("Unable to allocate 381. MiB for an array with shape (50000000,)"), 2),
+    (MemoryError(), 2),
+], ids=["IndexOutOfRange", "BoundViolation", "OSError", "NonFiniteInput", "MemoryError", "bare-MemoryError"])
+def test_main_maps_error_type_to_exit_code(monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_selftest", fail)
+    proc = run_cli("selftest")
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == f"{str(error) or type(error).__name__}\n"
+
+
+def test_main_lets_a_defect_keep_its_traceback(monkeypatch):
+    def fail(args):
+        raise TypeError("a defect")
+
+    monkeypatch.setattr(cli, "_cmd_selftest", fail)
+    with pytest.raises(TypeError, match="a defect"):
+        run_cli("selftest")
 
 
 def test_experiment_missing_plan_exit_5(tmp_path):
