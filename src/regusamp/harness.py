@@ -13,13 +13,17 @@ do not depend on worker scheduling.  run_plan is the one runner: it returns
 the rows of a plan's cells, and several plans are run one after the other.
 
 Clean and noisy cells share the block evaluator of ``reconstruct``: a clean
-cell reduces the kernel blocks against the samples (reconstruct_grid), a
-noisy cell draws its trials as a (trials x n) matrix, in blocks capped at
+cell reduces each kernel block against the samples and the test function
+to its largest error (approximation_error), so of its S targets it holds
+no reconstruction, f(t) or difference, only t itself; a noisy cell draws
+its trials as a (trials x n) matrix, in blocks capped at
 _NOISE_BLOCK_VALUES values, and reduces every kernel block against all of
 them at once (noise_response_max).  Every cell runs through one picklable
 runner, _run_cell, which sets the cell up, lets _approx_cell or _perturb_cell
 measure the error and its bound, and makes the one bound check, so ``jobs``
-> 1 changes the scheduling only, never a row.
+> 1 changes the scheduling only, never a row.  Worker processes fork with
+numpy's BLAS held to one thread (reconstruct.one_blas_thread), since the
+workers already keep every core busy.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from functools import partial
 import numpy as np
 
 from .bounds import closed_form_bound, robustness_bound
-from .reconstruct import TestFunction, TestFunctionKind, _draw_noise, noise_response_max, reconstruct_grid, sample
+from .reconstruct import (
+    TestFunction,
+    TestFunctionKind,
+    _draw_noise,
+    approximation_error,
+    noise_response_max,
+    one_blas_thread,
+    sample,
+)
 from .windows import SamplingConfig, WindowKind, default_params
 
 
@@ -106,8 +118,7 @@ class ErrorRow:
 
 def _approx_cell(plan: ExperimentPlan, cfg, w, t, lo: int, hi: int) -> tuple[float, float | None]:
     f = TestFunction(plan.test_fn, delta=cfg.delta)
-    rec = reconstruct_grid(sample(f, cfg, lo, hi), w, t)
-    measured = float(np.max(np.abs(f(t) - rec)))
+    measured = approximation_error(sample(f, cfg, lo, hi), f, w, t)
     closed = closed_form_bound(w, cfg)
     return measured, None if closed is None else closed * f.l2_norm
 
@@ -175,7 +186,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
     """Rows of every cell in plan order.  ``jobs`` > 1 runs the cells in
     worker processes, which changes no row.  With ``jobs`` = 1 a cell's
     kernel blocks run on threads (reconstruct._map_blocks); a forked worker
-    runs them inline, so ``jobs`` workers keep ``jobs`` threads busy.
+    runs them inline, so ``jobs`` workers keep ``jobs`` threads busy, and
+    it computes with one BLAS thread, the count set while the pool forks.
 
     Samples cover l = -L-m .. L+m, which is exactly the range the localized
     formula touches for targets in [-1, 1].  With eps = 0 a row is the
@@ -193,7 +205,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[ErrorRow, ...]:
         from concurrent.futures import ProcessPoolExecutor
 
         # A pool forks all its workers on the first submit: no more than cells.
-        with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+        with one_blas_thread(), ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
             rows = list(pool.map(worker, range(count)))
     return tuple(rows)
 

@@ -14,19 +14,23 @@ builds the 2m-wide kernel matrix of KERNEL_WEIGHTS // (2m) targets at a
 time and reduces it, so a block holds the same number of weights at every
 m.  Every row has one layout: an on-grid target j/L reads sample j alone,
 with a unit weight at column m - 1, so column m - 1 always sits at index
-floor(L*t).  The three reductions of the operator are its only callers:
+floor(L*t).  The four reductions of the operator are its only callers:
 reconstruct_grid reduces each block against the samples, so a point gets
-the same value alone or in a grid; noise_response_max reduces each block
+the same value alone or in a grid; approximation_error does the same and
+reduces each block's row sums at once to its largest |f - Rf|, so it holds
+no array the size of the targets; noise_response_max reduces each block
 against a whole matrix of noise trials at once, with one small matrix
 product per run of targets that share a window; noise_amplification takes
 each row's sum of |weights|, the Lebesgue function behind the robustness
 bounds.  A call of more than one block runs its blocks on up
 to usable_cpu_count() threads (numpy releases the GIL in the element
 functions, the gathers and the matrix products), each holding at most two
-blocks, so memory stays bounded however many targets there are.  Each block
-is computed exactly as alone, so the thread count changes no bit.  Every
-reduction leaves the decision whether a block's samples are present to one
-helper, _require_covered, which names the first target that lacks some.
+blocks, so memory stays bounded however many targets there are.  While they
+run, numpy's BLAS is held to one thread (one_blas_thread), so its own
+threads do not compete with the blocks'.  Each block is computed exactly as
+alone, so the thread count changes no bit.  Every reduction leaves the
+decision whether a block's samples are present to one helper,
+_require_covered, which names the first target that lacks some.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -239,18 +244,80 @@ def _block_pool():
         return _pool
 
 
+# numpy's BLAS thread count while one_blas_thread holds it at one: the
+# (setter, getter) pair of numpy's bundled OpenBLAS, looked up on first use
+# (() where numpy has none), how many callers hold it, and the count to give
+# back when the last one leaves.
+_blas_calls = None
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_restore = 1
+
+
+def _blas_thread_calls():
+    """(set_num_threads, get_num_threads) of the OpenBLAS that numpy links,
+    or () where it exports none; looked up once, on the first call."""
+    global _blas_calls
+    if _blas_calls is None:
+        _blas_calls = ()
+        try:
+            import ctypes
+
+            from numpy._core import _multiarray_umath
+
+            lib = ctypes.CDLL(_multiarray_umath.__file__)
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (ImportError, OSError, AttributeError):
+            return _blas_calls
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        _blas_calls = (setter, getter)
+    return _blas_calls
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS to one thread for the duration, then give back the
+    count the caller had.
+
+    The package's block threads and worker processes already keep every
+    core busy; BLAS threads beside them only spin on the same cores.
+    Concurrent and nested holders share one count under a lock: the first
+    saves the caller's count, and only the last to leave restores it, so no
+    restore lands while another caller's blocks still run.  Where numpy's
+    BLAS exports no thread setter, this does nothing.
+    """
+    global _blas_holders, _blas_restore
+    with _blas_lock:
+        calls = _blas_thread_calls()
+        if calls:
+            if not _blas_holders:
+                _blas_restore = calls[1]()
+                calls[0](1)
+            _blas_holders += 1
+    try:
+        yield
+    finally:
+        if calls:
+            with _blas_lock:
+                _blas_holders -= 1
+                if not _blas_holders:
+                    calls[0](_blas_restore)
+
+
 def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     """reduce(rows, idx, weights) of every block of _block_rows(t.size, m),
     where (idx, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
 
-    Every batched evaluation (reconstruct_grid, noise_response_max,
-    noise_amplification) goes through here.  With width =
-    min(blocks, usable_cpu_count()), the calling thread reduces blocks
+    Every batched evaluation (reconstruct_grid, approximation_error,
+    noise_response_max, noise_amplification) goes through here.  With width
+    = min(blocks, usable_cpu_count()), the calling thread reduces blocks
     0, width, 2*width, ... and width - 1 threads of the process's pool the
-    other residues.  A single block, or any call in a forked child, runs on
-    the calling thread alone and starts no thread.  Each block is built and
-    reduced exactly as it would be alone, so the results do not depend on
-    the number of threads.  When blocks raise, the first of them in block
+    other residues, with numpy's BLAS held to one thread.  A single block,
+    or any call in a forked child, runs on the calling thread alone and
+    starts no thread.  Each block is built and reduced exactly as it would
+    be alone, so the results do not depend on the number of threads.  When blocks raise, the first of them in block
     order raises here, as a loop over the blocks would.
     """
     t = np.asarray(t, dtype=float)
@@ -274,9 +341,11 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
 
     width = min(len(blocks), usable_cpu_count())
     if width <= 1 or _forked_child:
-        width = 1
-    futures = [_block_pool().submit(run, first, width) for first in range(1, width)]
-    stops = [run(0, width), *(f.result() for f in futures)]
+        stops = [run(0, 1)]
+    else:
+        with one_blas_thread():
+            futures = [_block_pool().submit(run, first, width) for first in range(1, width)]
+            stops = [run(0, width), *(f.result() for f in futures)]
     _, exc = min(stops, key=lambda stop: stop[0])
     if exc is not None:
         raise exc
@@ -301,25 +370,49 @@ def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what
     raise IndexOutOfRange(f"t = {float(t[i])!r} {needs}; {what} covers [{lo}, {hi}]")
 
 
+def _row_sums(ss: SampleSet, t, idx, weights, out=None) -> np.ndarray:
+    """The reconstruction at the targets ``t`` of one block, from their
+    kernel rows (idx, weights): one sum per row, in index order, into
+    ``out`` if given.  Raises IndexOutOfRange, naming the first target,
+    unless the sample set covers every row's span."""
+    _require_covered(ss.cfg, t, idx[:, 0], idx[:, -1], ss.index_lo, ss.index_hi, "sample set")
+    return np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights, out=out)
+
+
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """The localized reconstruction at every target of a 1-D array.
 
     This is the one evaluation path; a single point is a one-element array.
     Each block of _map_blocks is reduced into its slice of a preallocated
     output, so the memory beyond that output does not grow with the number
-    of targets.  Off-grid sums run in index order.  A block whose samples
-    the set does not cover raises IndexOutOfRange naming its first
-    uncovered target, and the first such block raises.
+    of targets.  A block whose samples the set does not cover raises
+    IndexOutOfRange naming its first uncovered target, and the first such
+    block raises.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
+    _map_blocks(w, ss.cfg, t, lambda rows, idx, weights: _row_sums(ss, t[rows], idx, weights, out[rows]))
+    return out
+
+
+def approximation_error(ss: SampleSet, f, w: WindowSpec, t) -> float:
+    """max over the targets ``t`` of |f(t) - Rf(t)|, where Rf reconstructs
+    from the samples ``ss`` and f is an elementwise function of an array.
+
+    Each block of _map_blocks sums its rows as reconstruct_grid does, then
+    evaluates f on its own targets and reduces |f - Rf| in place on its
+    row sums, so beyond ``t`` nothing grows with the number of targets.  The
+    result is bit-equal to np.max(np.abs(f(t) - reconstruct_grid(ss, w, t))),
+    a NaN included; uncovered targets raise the same IndexOutOfRange.
+    """
+    t = np.asarray(t, dtype=float)
 
     def reduce(rows, idx, weights):
-        _require_covered(ss.cfg, t[rows], idx[:, 0], idx[:, -1], ss.index_lo, ss.index_hi, "sample set")
-        np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights, out=out[rows])
+        err = _row_sums(ss, t[rows], idx, weights)
+        np.subtract(f(t[rows]), err, out=err)
+        return np.max(np.abs(err, out=err))
 
-    _map_blocks(w, ss.cfg, t, reduce)
-    return out
+    return float(np.max(_map_blocks(w, ss.cfg, t, reduce)))
 
 
 def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noise) -> float:

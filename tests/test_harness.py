@@ -5,12 +5,14 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import regusamp
 import regusamp.harness as harness_mod
+import regusamp.reconstruct as reconstruct_mod
 from regusamp.bounds import e1_numeric, e2_numeric, robustness_bound
 from regusamp.harness import (
     PRESETS,
@@ -23,7 +25,16 @@ from regusamp.harness import (
     parse_plan,
     run_plan,
 )
-from regusamp.reconstruct import TestFunctionKind, _draw_noise, kernel_matrix, noise_amplification
+from regusamp.reconstruct import (
+    TestFunction,
+    TestFunctionKind,
+    _block_rows,
+    _draw_noise,
+    kernel_matrix,
+    noise_amplification,
+    reconstruct_grid,
+    sample,
+)
 from regusamp.windows import SamplingConfig, WindowKind, default_params
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(regusamp.__file__))
@@ -203,6 +214,76 @@ def test_pool_workers_after_threaded_cells_finish():
         proc.communicate()
         pytest.fail("the probe hung after forking pool workers")
     assert proc.returncode == 0, err
+
+
+def blas_threads_of_worker(plan, i):
+    """Stands in for harness._run_cell in a pool worker: the number of
+    threads numpy's BLAS computes with there."""
+    return reconstruct_mod._blas_thread_calls()[1]()
+
+
+def test_blas_held_to_one_thread_and_given_back(monkeypatch):
+    calls = reconstruct_mod._blas_thread_calls()
+    if not calls:
+        pytest.skip("numpy's BLAS exports no thread setter")
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(2)  # the caller's count, even on a one-CPU host
+    try:
+        # Block threads of eight concurrent calls, each three threads wide,
+        # all compute with one BLAS thread: no caller's restore lands while
+        # another's blocks run.
+        monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+        counts = []
+        real = reconstruct_mod.kernel_matrix
+
+        def spy(w, cfg, t):
+            counts.append((threading.get_ident(), get_threads()))
+            return real(w, cfg, t)
+
+        monkeypatch.setattr(reconstruct_mod, "kernel_matrix", spy)
+        cfg = SamplingConfig(64, 1.0, 1 / 3, 5)
+        ss = sample(TestFunction("sincband", cfg.delta), cfg, -cfg.L - 5, cfg.L + 5)
+        t = np.linspace(-1.0, 1.0, 4 * _block_rows(1, 5)[0].stop + 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(4) as callers:
+                for call in [callers.submit(reconstruct_grid, ss, default_params("sinh", cfg), t) for _ in range(8)]:
+                    call.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({ident for ident, _ in counts}) > 1
+        assert {count for _, count in counts} == {1}
+        assert get_threads() == 2
+        # Forked pool workers compute with one thread; the caller gets its
+        # count back.
+        monkeypatch.setattr(harness_mod, "_run_cell", blas_threads_of_worker)
+        assert run_plan(SMALL_PLAN, jobs=2) == (1,) * len(SMALL_PLAN.cells())
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_clean_cell_memory_grows_only_by_its_targets():
+    import tracemalloc
+
+    plans = {S: dataclasses.replace(SMALL_PLAN, N=128, m_list=(5,), windows=(WindowKind.GAUSS,), S=S)
+             for S in (100_000, 400_000)}
+    harness_mod._run_cell(plans[100_000], 0)  # first-use costs: the block pool, cached constants
+    peaks = {}
+    for S, plan in plans.items():
+        tracemalloc.start()
+        try:
+            harness_mod._run_cell(plan, 0)
+            peaks[S] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # Only the targets t grow (by 2.4 MB here); a whole reconstruction,
+    # f(t) and their difference would add three times that.
+    assert peaks[400_000] - peaks[100_000] <= (400_000 - 100_000) * 8 + (1 << 20)
 
 
 NOISY_PLAN = dataclasses.replace(SMALL_PLAN, eps=1e-3, trials=7, S=1001)

@@ -18,6 +18,7 @@ from regusamp.reconstruct import (
     TestFunctionKind,
     _block_rows,
     _draw_noise,
+    approximation_error,
     kernel_matrix,
     load_samples,
     noise_amplification,
@@ -352,6 +353,8 @@ def test_grid_out_of_range_in_last_block_only():
     t[-1] = 0.7  # needs indices up to floor(0.7 * 256) + 5 = 184
     with pytest.raises(IndexOutOfRange, match=r"indices \[175, 184\]"):
         reconstruct_grid(ss, w, t)
+    with pytest.raises(IndexOutOfRange, match=r"indices \[175, 184\]"):
+        approximation_error(ss, F, w, t)
 
 
 @pytest.mark.parametrize("t,message", [
@@ -366,6 +369,8 @@ def test_grid_out_of_range_names_first_uncovered_target(t, message):
     w = default_params(WindowKind.GAUSS, CFG)
     with pytest.raises(IndexOutOfRange, match=message):
         reconstruct_grid(ss, w, np.array(t))
+    with pytest.raises(IndexOutOfRange, match=message):
+        approximation_error(ss, F, w, np.array(t))
 
 
 def test_noise_response_rejects_uncovered_windows():
@@ -466,11 +471,28 @@ def test_threaded_blocks_bit_equal_to_serial_loop(kind, monkeypatch):
         t[2 * block - 1:2 * block + 1] = [0.0, 1.0]
         noise = rng.uniform(-1e-3, 1e-3, (5, len(ss)))
         grid, noise_max, lebesgue = serial_reductions(ss, w, t, noise)
+        f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
         threads.clear()
         assert reconstruct_grid(ss, w, t).tobytes() == grid.tobytes()
+        assert approximation_error(ss, f, w, t) == np.max(np.abs(f(t) - grid))
         assert noise_response_max(w, cfg, t, ss.index_lo, noise) == noise_max
         assert noise_amplification(w, cfg, t) == lebesgue
         assert len(threads) > 1
+
+
+def test_approximation_error_propagates_nan(monkeypatch):
+    # A NaN of f in one block is the result, as in np.max of the whole error.
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    ss = full_sample_set()
+    w = default_params(WindowKind.SINH, CFG)
+    t = np.linspace(-1.0, 1.0, 3 * BLOCK)
+
+    def f_with_nan(x):
+        y = F(x)
+        y[x == t[BLOCK + 5]] = np.nan
+        return y
+
+    assert math.isnan(approximation_error(ss, f_with_nan, w, t))
 
 
 @pytest.mark.parametrize("m,blocks", [(5, 1), (2, 1), (2, 3)])
