@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import arena, specfun
 from .windows import SamplingConfig, WindowKind, WindowSpec, bspline_center_value, eval_truncated, eval_window
 
 
@@ -48,17 +48,21 @@ def check_finite(what: str, x) -> None:
         raise NonFiniteInput(f"{what} must be finite, got {float(x[~finite].ravel()[0])!r}")
 
 
-def sinc(x):
+def sinc(x, out=None):
     """sin(x)/x with sinc(0) = 1.
 
     For |x| < 1e-4 the truncated Taylor series 1 - x^2/6 + x^4/120 is used;
-    its truncation error there is below 1e-28.  The result is allocated
-    once: sin and the division run in place, and only the few small entries
-    are overwritten with the series.
+    its truncation error there is below 1e-28.  The result goes to ``out``
+    if given (not ``x`` itself), else to a new array: sin and the division
+    run in place there, and only the few small entries are overwritten with
+    the series.  Its one temporary, the mask of small entries, takes a byte
+    per entry and is allocated: sinc is the element function called most
+    often on small arrays outside kernel blocks (the band tails, the test
+    functions), where an arena frame would cost more than the mask.
     """
     x = np.asarray(x, dtype=float)
-    out = np.abs(x, out=np.empty_like(x))
-    small = out < 1e-4
+    out = np.empty_like(x) if out is None else out
+    small = np.abs(x, out=out) < 1e-4
     np.sin(x, out=out)
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
         np.divide(out, x, out=out)
@@ -77,15 +81,21 @@ class KernelEval:
     cfg: SamplingConfig
 
 
-def psi(k: KernelEval, x):
+def psi(k: KernelEval, x, out=None):
     """Truncated regularized sinc: sinc(L*pi*x) * phi_m(x).
 
     psi(0) = 1 and psi(l/L) = 0 for integer l != 0, so reconstruction with
-    psi interpolates the samples.  Zero outside [-m/L, m/L].
+    psi interpolates the samples.  Zero outside [-m/L, m/L].  The result
+    goes to ``out`` if given (not ``x`` itself), else to a new array; the
+    sinc argument, which then holds the window, comes from arena.empty.
     """
     x = np.asarray(x, dtype=float)
-    out = np.asarray(sinc(k.cfg.L * math.pi * x))
-    out *= eval_truncated(k.window, k.cfg, x)
+    out = np.empty_like(x) if out is None else out
+    with arena.frame():
+        arg = np.multiply(x, k.cfg.L * math.pi, out=arena.empty(x.shape))
+        sinc(arg, out=out)
+        eval_truncated(k.window, k.cfg, x, out=arg)
+        out *= arg
     return out if out.ndim else float(out)
 
 

@@ -12,25 +12,32 @@ evaluator reads like any other sample set.
 Every evaluation goes through one block evaluator, _map_blocks, which
 builds the 2m-wide kernel matrix of KERNEL_WEIGHTS // (2m) targets at a
 time and reduces it, so a block holds the same number of weights at every
-m.  Every row has one layout: an on-grid target j/L reads sample j alone,
-with a unit weight at column m - 1, so column m - 1 always sits at index
-floor(L*t).  The four reductions of the operator are its only callers:
-reconstruct_grid reduces each block against the samples, so a point gets
-the same value alone or in a grid; approximation_error does the same and
-reduces each block's row sums at once to its largest |f - Rf|, so it holds
-no array the size of the targets; noise_response_max reduces each block
-against a whole matrix of noise trials at once, with one small matrix
-product per run of targets that share a window; noise_amplification takes
-each row's sum of |weights|, the Lebesgue function behind the robustness
-bounds.  A call of more than one block runs its blocks on up
-to usable_cpu_count() threads (numpy releases the GIL in the element
-functions, the gathers and the matrix products), each holding at most two
-blocks, so memory stays bounded however many targets there are.  While they
-run, numpy's BLAS is held to one thread (one_blas_thread), so its own
-threads do not compete with the blocks'.  Each block is computed exactly as
-alone, so the thread count changes no bit.  Every reduction leaves the
-decision whether a block's samples are present to one helper,
-_require_covered, which names the first target that lacks some.
+m.  Every row is laid out from its window start k - m + 1: column j holds
+the weight of sample k - m + 1 + j, and an on-grid target j/L has a unit
+weight at column m - 1 and zeros elsewhere, so it reads sample j alone.
+kernel_matrix builds no index matrix: the offsets come from the float
+k + j, and only a reduction that reads the samples builds their positions,
+in an arena buffer.  Each block runs in its thread's arena (arena.block): the
+kernel matrix, the temporaries of the element functions and the gathered
+samples reuse the same few block-sized buffers from block to block, and
+nothing of one block is kept for the next.  The four reductions of the
+operator are its only callers: reconstruct_grid reduces each block against
+the samples, so a point gets the same value alone or in a grid;
+approximation_error does the same and reduces each block's row sums at
+once to its largest |f - Rf|, so it holds no array the size of the
+targets; noise_response_max reduces each block against a whole matrix of
+noise trials at once, with one small matrix product per run of targets
+that share a window; noise_amplification takes each row's sum of
+|weights|, the Lebesgue function behind the robustness bounds.  A call of
+more than one block runs its blocks on up to usable_cpu_count() threads
+(numpy releases the GIL in the element functions, the gathers and the
+matrix products), each with its own arena, so memory stays bounded however
+many targets there are.  While they run, numpy's BLAS is held to one
+thread (one_blas_thread), so its own threads do not compete with the
+blocks'.  Each block is computed exactly as alone, so the thread count
+changes no bit.  Every reduction leaves the decision whether a block's
+samples are present to one helper, _require_covered, which names the first
+target that lacks some.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import arena
 from .kernel import KernelEval, NonFiniteInput, check_finite, psi, sinc
 from .windows import SamplingConfig, WindowSpec
 
@@ -150,12 +158,13 @@ def perturb(ss: SampleSet, eps: float, seed: int) -> SampleSet:
 
 
 # Kernel weights per block of the batched evaluators, whatever m is: a
-# block has 2**15 // (2m) targets, and its index and weight arrays take up
-# to 256 KB each.  With the two or three float temporaries of the element
-# functions a block's working set stays near a 2 MB L2 cache.  Smaller
-# blocks pay more often a fixed cost of some 50 us per block in numpy calls;
-# larger ones leave the cache.  On 2 cores, 2**14 ran the benchmark's approx
-# and perturb rounds 20-30% slower, and 2**16 raised their peak RSS by 5%.
+# block has 2**15 // (2m) targets, and each block-sized buffer of its arena
+# takes 256 KB.  The B-spline window, the deepest path, holds six of them at
+# once, 1.5 MB.  Smaller blocks pay more often a fixed cost of some 50 us
+# per block in numpy calls: 2**13 cut the window's time per weight by a
+# third but lost it again to that cost.  On 2 cores, 2**14 ran the
+# benchmark's approx and perturb rounds 20-30% slower, and 2**16 raised
+# their peak RSS by 5%.
 KERNEL_WEIGHTS = 1 << 15
 
 # |L*t| at and beyond which no int64 sample index reaches a target.
@@ -163,16 +172,21 @@ _INDEX_LIMIT = 2.0**62
 
 
 def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
-    """Per-point sample indices and kernel weights for a batch of targets.
+    """Per-point window starts and kernel weights for a batch of targets.
 
-    Returns (idx, weights): for row i the reconstruction is
-    sum(values[idx[i]] * weights[i]).  Row i covers the window k - m + 1 ..
-    k + m with k = floor(L*t[i]), so idx[i, m - 1] - (m - 1) is its window
-    start.  A row at an exact grid point t = j/L reads sample j alone: idx
-    is j in every column and the weight is a unit at column m - 1, which
-    keeps that window start.  A target with |t| >= 2**62/L lies beyond every
-    int64 sample index: its row has idx 0 and NaN weights, and the batched
-    evaluators reject it (_require_covered) at its place in target order.
+    Returns (start, weights): row i covers the samples start[i] ..
+    start[i] + 2m - 1, so the reconstruction is sum(values[start[i] + j] *
+    weights[i, j]) over j, with start[i] = k - m + 1 and k = floor(L*t[i]).
+    Its offsets are x = t - (k + j)/L from the float k + j, the same
+    rounding as the integer k + j.  A row at an exact grid point t = j/L
+    reads sample j alone: its weight is a unit at column m - 1, the other
+    columns are 0.  A target with |t| >= 2**62/L lies beyond every int64
+    sample index: its row has NaN weights, and the batched evaluators reject
+    it (_require_covered) at its place in target order.
+
+    Inside a kernel block (arena.block) the weights are a view of the
+    thread's arena, valid until the block ends; elsewhere they are a new
+    array.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -184,19 +198,18 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     Lt = L * tk
     k = np.floor(Lt)
     ongrid = Lt == k
-    k = k.astype(np.int64)
-    offs = np.arange(-m + 1, m + 1, dtype=np.int64)
-    idx = k[:, None] + offs[None, :]
-    x = idx / L
-    np.subtract(tk[:, None], x, out=x)
-    weights = psi(KernelEval(w, cfg), x)
+    weights = arena.empty((t.size, 2 * m))
+    with arena.frame():
+        x = np.add(k[:, None], np.arange(-m + 1, m + 1, dtype=float), out=arena.empty(weights.shape))
+        x /= L
+        np.subtract(tk[:, None], x, out=x)
+        psi(KernelEval(w, cfg), x, out=weights)
     if ongrid.any():
-        idx[ongrid] = k[ongrid, None]
         weights[ongrid] = 0.0
         weights[ongrid, m - 1] = 1.0
     if tk is not t:
         weights[far] = np.nan
-    return idx, weights
+    return k.astype(np.int64) - (m - 1), weights
 
 
 def _block_rows(n: int, m: int) -> list[slice]:
@@ -307,8 +320,8 @@ def one_blas_thread():
 
 
 def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
-    """reduce(rows, idx, weights) of every block of _block_rows(t.size, m),
-    where (idx, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
+    """reduce(rows, start, weights) of every block of _block_rows(t.size, m),
+    where (start, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
 
     Every batched evaluation (reconstruct_grid, approximation_error,
     noise_response_max, noise_amplification) goes through here.  With width
@@ -316,9 +329,13 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     0, width, 2*width, ... and width - 1 threads of the process's pool the
     other residues, with numpy's BLAS held to one thread.  A single block,
     or any call in a forked child, runs on the calling thread alone and
-    starts no thread.  Each block is built and reduced exactly as it would
-    be alone, so the results do not depend on the number of threads.  When blocks raise, the first of them in block
-    order raises here, as a loop over the blocks would.
+    starts no thread.  Each block runs in arena.block, so its kernel matrix,
+    the temporaries of the element functions and the reduction's gathered
+    samples reuse the thread's arena buffers: reduce must not keep weights
+    beyond its return.  Each block is built and reduced exactly as it would
+    be alone, so the results do not depend on the number of threads.  When
+    blocks raise, the first of them in block order raises here, as a loop
+    over the blocks would.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -327,14 +344,12 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     results = [None] * len(blocks)
 
     def run(first, step):
-        # Each thread keeps a block's matrices until it has built its next
-        # ones, like a plain loop over the blocks.  Freeing them first let
-        # the allocator return the memory to the system after every block and
-        # fault it in again: five times the page faults of a fig10 round.
         for i in range(first, len(blocks), step):
+            targets = t[blocks[i]]
             try:
-                idx, weights = kernel_matrix(w, cfg, t[blocks[i]])
-                results[i] = reduce(blocks[i], idx, weights)
+                with arena.block(targets.size * 2 * cfg.m):
+                    start, weights = kernel_matrix(w, cfg, targets)
+                    results[i] = reduce(blocks[i], start, weights)
             except Exception as exc:  # re-raised by the caller if no earlier block failed
                 return i, exc
         return len(blocks), None
@@ -355,9 +370,8 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
 def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what: str) -> None:
     """Raise IndexOutOfRange unless every target's sample span first..last
     lies in lo..hi, naming the first target that leaves it; ``what`` names
-    the data covering lo..hi.  An on-grid row's span is its one sample.  A
-    target with |t| >= 2**62/L has no window, since no int64 sample index
-    reaches it, so it leaves every range."""
+    the data covering lo..hi.  A target with |t| >= 2**62/L has no window,
+    since no int64 sample index reaches it, so it leaves every range."""
     far = np.abs(t) >= _INDEX_LIMIT / cfg.L
     outside = (first < lo) | (last > hi) | far
     if not outside.any():
@@ -370,13 +384,29 @@ def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what
     raise IndexOutOfRange(f"t = {float(t[i])!r} {needs}; {what} covers [{lo}, {hi}]")
 
 
-def _row_sums(ss: SampleSet, t, idx, weights, out=None) -> np.ndarray:
+def _row_sums(ss: SampleSet, t, start, weights, out=None) -> np.ndarray:
     """The reconstruction at the targets ``t`` of one block, from their
-    kernel rows (idx, weights): one sum per row, in index order, into
+    kernel rows (start, weights): one sum per row, in column order, into
     ``out`` if given.  Raises IndexOutOfRange, naming the first target,
-    unless the sample set covers every row's span."""
-    _require_covered(ss.cfg, t, idx[:, 0], idx[:, -1], ss.index_lo, ss.index_hi, "sample set")
-    return np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights, out=out)
+    unless the sample set covers every row's span; an on-grid row's span is
+    its one sample, at column m - 1.
+
+    The samples are gathered by one take of the block's sample positions,
+    built in one arena buffer.  mode="clip" lets an on-grid row at the edge
+    of the set read the edge sample in place of the missing ones, under
+    zero weights.
+    """
+    m = ss.cfg.m
+    first, last = start, start + (2 * m - 1)
+    if first.min() < ss.index_lo or last.max() > ss.index_hi:
+        with np.errstate(over="ignore"):  # an overflow lies beyond 2**62/L, which _require_covered rejects
+            Lt = ss.cfg.L * t
+        ongrid = Lt == np.floor(Lt)
+        first, last = first + (m - 1) * ongrid, last - m * ongrid
+    _require_covered(ss.cfg, t, first, last, ss.index_lo, ss.index_hi, "sample set")
+    index = np.add((start - ss.index_lo)[:, None], np.arange(2 * m), out=arena.empty(weights.shape, np.intp))
+    samples = ss.values.take(index, out=arena.empty(weights.shape), mode="clip")
+    return np.einsum("ij,ij->i", samples, weights, out=out)
 
 
 def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
@@ -391,7 +421,7 @@ def reconstruct_grid(ss: SampleSet, w: WindowSpec, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
-    _map_blocks(w, ss.cfg, t, lambda rows, idx, weights: _row_sums(ss, t[rows], idx, weights, out[rows]))
+    _map_blocks(w, ss.cfg, t, lambda rows, start, weights: _row_sums(ss, t[rows], start, weights, out[rows]))
     return out
 
 
@@ -403,12 +433,15 @@ def approximation_error(ss: SampleSet, f, w: WindowSpec, t) -> float:
     evaluates f on its own targets and reduces |f - Rf| in place on its
     row sums, so beyond ``t`` nothing grows with the number of targets.  The
     result is bit-equal to np.max(np.abs(f(t) - reconstruct_grid(ss, w, t))),
-    a NaN included; uncovered targets raise the same IndexOutOfRange.
+    a NaN included; uncovered targets raise the same IndexOutOfRange, and
+    no targets raise ValueError.
     """
     t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ValueError("need at least one target")
 
-    def reduce(rows, idx, weights):
-        err = _row_sums(ss, t[rows], idx, weights)
+    def reduce(rows, start, weights):
+        err = _row_sums(ss, t[rows], start, weights)
         np.subtract(f(t[rows]), err, out=err)
         return np.max(np.abs(err, out=err))
 
@@ -435,8 +468,7 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
     m2 = 2 * cfg.m
     index_hi = index_lo + noise.shape[1] - 1
 
-    def reduce(rows, idx, weights):
-        start = idx[:, cfg.m - 1] - (cfg.m - 1)
+    def reduce(rows, start, weights):
         _require_covered(cfg, t[rows], start, start + (m2 - 1), index_lo, index_hi, "noise")
         worst = 0.0
         edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
@@ -466,10 +498,10 @@ def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
     if t.size == 0:
         raise ValueError("need at least one target")
 
-    def reduce(rows, idx, weights):
+    def reduce(rows, start, weights):
         # Every int64 index is in range, so only a target without a window raises.
-        _require_covered(cfg, t[rows], idx[:, 0], idx[:, -1], -2**63, 2**63 - 1, "int64")
-        return float(np.max(np.sum(np.abs(weights), axis=1)))
+        _require_covered(cfg, t[rows], start, start, -2**63, 2**63 - 1, "int64")
+        return float(np.max(np.sum(np.abs(weights, out=weights), axis=1)))
 
     return max(_map_blocks(w, cfg, t, reduce))
 

@@ -21,6 +21,8 @@ from math import comb, factorial
 
 import numpy as np
 
+from . import arena
+
 
 class InvalidOrder(ValueError):
     """B-spline order must be an even integer >= 2."""
@@ -61,7 +63,7 @@ def bessel_i1_scaled(x):
     return out if out.ndim else float(out)
 
 
-def cardinal_bspline(order_2s, x):
+def cardinal_bspline(order_2s, x, out=None):
     """Centered cardinal B-spline M_{2s}(x) of even order ``order_2s``.
 
     M_{2s} is supported on [-s, s] and is a polynomial of degree 2s-1 on each
@@ -72,6 +74,9 @@ def cardinal_bspline(order_2s, x):
     |x| enters, so the result is exactly even; the outermost piece is
     u^{2s-1}/(2s-1)!, so values near the edge carry no cancellation; the
     result is exactly 0 for |x| >= s.  NaN propagates.
+
+    The result goes to ``out`` if given, which may be ``x`` itself, else to
+    a new array; the three temporaries come from arena.empty.
     """
     order = int(order_2s)
     if order != order_2s or order < 2 or order % 2:
@@ -79,21 +84,24 @@ def cardinal_bspline(order_2s, x):
     s = order // 2
     coef = _bspline_pieces(s)
     x = np.asarray(x, dtype=float)
-    u = np.abs(x, out=np.empty_like(x))
-    np.subtract(s, u, out=u)  # w = s - |x|
-    # fmax maps NaN to piece 0, where u keeps the NaN; |x| >= s gives u = 0.
-    p = np.fmax(u, 0.0, out=np.empty_like(u))
-    np.minimum(p, s - 1, out=p)
-    np.floor(p, out=p)
-    np.subtract(u, p, out=u)
-    np.maximum(u, 0.0, out=u)
-    piece = p.astype(np.intp)
-    # Horner's rule; p is spent, so it holds each row's gathered coefficients
-    # (mode="clip" lets take write into it unbuffered: piece is in 0..s-1).
-    out = coef[-1].take(piece)
-    for row in coef[-2::-1]:
-        out *= u
-        out += row.take(piece, out=p, mode="clip")
+    with arena.frame():
+        u = np.abs(x, out=arena.empty(x.shape))
+        np.subtract(s, u, out=u)  # w = s - |x|
+        # fmax maps NaN to piece 0, where u keeps the NaN; |x| >= s gives u = 0.
+        p = np.fmax(u, 0.0, out=arena.empty(x.shape))
+        np.minimum(p, s - 1, out=p)
+        np.floor(p, out=p)
+        np.subtract(u, p, out=u)
+        np.maximum(u, 0.0, out=u)
+        piece = arena.empty(x.shape, np.intp)
+        np.copyto(piece, p, casting="unsafe")  # p.astype(np.intp)
+        # Horner's rule; p is spent, so it holds each row's gathered
+        # coefficients (mode="clip" lets take write into its out unbuffered:
+        # piece is in 0..s-1).
+        out = coef[-1].take(piece, out=out, mode="clip")
+        for row in coef[-2::-1]:
+            out *= u
+            out += row.take(piece, out=p, mode="clip")
     return out if out.ndim else float(out)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import specfun
+from . import arena, specfun
 
 
 class InvalidConfig(ValueError):
@@ -191,7 +191,7 @@ def bspline_center_value(s: int) -> float:
     return float(specfun.m2s_at_zero(s))
 
 
-def eval_window(w: WindowSpec, cfg: SamplingConfig, x):
+def eval_window(w: WindowSpec, cfg: SamplingConfig, x, out=None):
     """The untruncated window phi(x).  Vectorized over x.
 
     rect:    indicator of the closed interval [-m/L, m/L]
@@ -200,55 +200,65 @@ def eval_window(w: WindowSpec, cfg: SamplingConfig, x):
     sinh:    sinh(beta*sqrt(1-(Lx/m)^2)) / sinh(beta) on [-m/L, m/L], else 0
 
     The sinh ratio is evaluated as exp(beta*(u-1)) * (1-exp(-2*beta*u)) /
-    (1-exp(-2*beta)) with u = sqrt(1-(Lx/m)^2), which never overflows.
-    Each kind allocates its result once and works in place after that.
+    (1-exp(-2*beta)) with u = sqrt(max(1-(Lx/m)^2, 0)), which never
+    overflows; fmax maps NaN to u = 0 as it does |Lx/m| >= 1, and u = 0
+    gives exactly +0.0.  The result goes to ``out`` if given, which may be
+    ``x`` itself, else to a new array, and each kind works in place there;
+    the sinh window takes one temporary from arena.empty.
     """
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x) if out is None else out
     m_over_L = cfg.m / cfg.L
     if w.kind is WindowKind.RECT:
-        out = np.abs(x, out=np.empty_like(x))
+        np.abs(x, out=out)
         np.less_equal(out, m_over_L, out=out)  # stored as 1.0 or 0.0
     elif w.kind is WindowKind.GAUSS:
-        out = np.multiply(x, x, out=np.empty_like(x))
+        np.multiply(x, x, out=out)
         np.negative(out, out=out)
         np.divide(out, 2.0 * w.sigma * w.sigma, out=out)
         np.exp(out, out=out)
     elif w.kind is WindowKind.BSPLINE:
-        arg = np.multiply(x, cfg.L, out=np.empty_like(x))
-        arg *= w.s
-        arg /= cfg.m
-        out = np.asarray(specfun.cardinal_bspline(2 * w.s, arg))
+        np.multiply(x, cfg.L, out=out)
+        out *= w.s
+        out /= cfg.m
+        specfun.cardinal_bspline(2 * w.s, out, out=out)
         out /= bspline_center_value(w.s)
     else:
-        r = np.multiply(x, cfg.L, out=np.empty_like(x))
-        r /= cfg.m
-        u = np.multiply(r, r, out=np.empty_like(r))
-        np.subtract(1.0, u, out=u)
-        np.maximum(u, 0.0, out=u)
-        np.sqrt(u, out=u)
         beta = w.beta
-        out = np.subtract(u, 1.0, out=np.empty_like(u))
-        out *= beta
-        np.exp(out, out=out)
-        u *= -2.0 * beta
-        np.expm1(u, out=u)
-        np.negative(u, out=u)
-        out *= u
+        with arena.frame():
+            u = np.multiply(x, cfg.L, out=arena.empty(x.shape))
+            u /= cfg.m
+            np.multiply(u, u, out=u)
+            np.subtract(1.0, u, out=u)
+            np.fmax(u, 0.0, out=u)
+            np.sqrt(u, out=u)
+            np.subtract(u, 1.0, out=out)
+            out *= beta
+            np.exp(out, out=out)
+            u *= -2.0 * beta
+            np.expm1(u, out=u)
+            np.negative(u, out=u)
+            out *= u
         out /= -math.expm1(-2.0 * beta)
-        out[~(np.abs(r, out=r) <= 1.0)] = 0.0  # as np.where: NaN maps to 0
     return out if out.ndim else float(out)
 
 
-def eval_truncated(w: WindowSpec, cfg: SamplingConfig, x):
+def eval_truncated(w: WindowSpec, cfg: SamplingConfig, x, out=None):
     """The truncated window phi_m(x) = phi(x) * 1_[-m/L, m/L](x).
 
     Identical to eval_window except for the Gaussian, whose infinite support
     is clipped here.  The indicator is closed, so the rectangular window is
-    1 at |x| = m/L while B-spline and sinh are 0 there by continuity.
+    1 at |x| = m/L while B-spline and sinh are 0 there by continuity.  The
+    result goes to ``out`` if given (not ``x`` itself), else to a new array;
+    the Gaussian's clip takes two temporaries from arena.empty.
     """
     x = np.asarray(x, dtype=float)
-    out = np.asarray(eval_window(w, cfg, x), dtype=float)
+    out = np.empty_like(x) if out is None else out
+    eval_window(w, cfg, x, out=out)
     if w.kind is WindowKind.GAUSS:
-        out[~(np.abs(x) <= cfg.m / cfg.L)] = 0.0  # as np.where: NaN maps to 0
+        with arena.frame():
+            outside = np.less_equal(np.abs(x, out=arena.empty(x.shape)), cfg.m / cfg.L,
+                                    out=arena.empty(x.shape, bool))
+            np.logical_not(outside, out=outside)  # as np.where: NaN maps to 0
+            np.copyto(out, 0.0, where=outside)
     return out if out.ndim else float(out)
-

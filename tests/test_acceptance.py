@@ -56,8 +56,8 @@ def _measured_approx(cfg: SamplingConfig, kind: WindowKind, fn_kind: TestFunctio
     f = TestFunction(fn_kind, delta=cfg.delta)
     ss = sample(f, cfg, -cfg.L - cfg.m, cfg.L + cfg.m)
     t = np.linspace(-1.0, 1.0, S_POINTS)
-    idx, weights = kernel_matrix(w, cfg, t)
-    rec = np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
+    start, weights = kernel_matrix(w, cfg, t)
+    rec = np.einsum("ij,ij->i", ss.values[np.add.outer(start - ss.index_lo, np.arange(2 * cfg.m))], weights)
     return float(np.max(np.abs(np.asarray(f(t)) - rec)))
 
 
@@ -167,8 +167,8 @@ def test_criterion_5_bound_dominance_noise():
                 w = default_params(kind, cfg)
                 lo, hi = -cfg.L - m, cfg.L + m
                 t = np.linspace(-1.0, 1.0, S_POINTS)
-                idx, weights = kernel_matrix(w, cfg, t)
-                flat = idx - lo
+                start, weights = kernel_matrix(w, cfg, t)
+                flat = np.add.outer(start - lo, np.arange(2 * m))
                 measured = 0.0
                 for trial in range(TRIALS):
                     seed = np.random.SeedSequence((813, cells, trial))

@@ -1,7 +1,7 @@
 """Bit-identity witness for the kernel-matrix layers.
 
 The element functions (sinc, the windows, the B-spline) and kernel_matrix
-work in place to save allocations.  Their results must not move by a single
+work in place, inside a kernel block in the thread's arena buffers.  Their results must not move by a single
 bit: the benchmark's reference and the preset CSVs depend on the rounding of
 every step.  The reference formulas below are the straightforward forms the
 package evaluated before, one temporary per operation; a reordered or fused
@@ -13,9 +13,21 @@ import math
 import numpy as np
 import pytest
 
+import regusamp.reconstruct as reconstruct_mod
 from regusamp import specfun
 from regusamp.kernel import sinc
-from regusamp.reconstruct import KERNEL_WEIGHTS, _block_rows, kernel_matrix
+from regusamp.reconstruct import (
+    KERNEL_WEIGHTS,
+    IndexOutOfRange,
+    TestFunction,
+    _block_rows,
+    approximation_error,
+    kernel_matrix,
+    noise_amplification,
+    noise_response_max,
+    reconstruct_grid,
+    sample,
+)
 from regusamp.windows import (
     SamplingConfig,
     WindowKind,
@@ -162,13 +174,92 @@ def test_kernel_matrix_bits(cfg, kind):
     t[::5] = rng.integers(-cfg.L, cfg.L, t[::5].size) / cfg.L
     t[block - 1:block + 3] = [17 / cfg.L, 0.123456789, -0.0, 0.0]
     want_idx, want_w = ref_kernel_matrix(w, cfg, t)
-    idx, weights = kernel_matrix(w, cfg, t)
-    assert np.array_equal(idx, want_idx) and idx.dtype == want_idx.dtype
+    want_start = want_idx[:, cfg.m - 1] - (cfg.m - 1)
+    start, weights = kernel_matrix(w, cfg, t)
+    assert np.array_equal(start, want_start) and start.dtype == want_start.dtype
     assert_same_bits(weights, want_w)
     blocks = [kernel_matrix(w, cfg, t[rows]) for rows in _block_rows(t.size, cfg.m)]
     assert len(blocks) == 2
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_idx)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), want_start)
     assert_same_bits(np.concatenate([b[1] for b in blocks]), want_w)
-    one_idx, one_w = kernel_matrix(w, cfg, t[block:block + 1])
-    assert np.array_equal(one_idx, want_idx[block:block + 1])
+    one_start, one_w = kernel_matrix(w, cfg, t[block:block + 1])
+    assert np.array_equal(one_start, want_start[block:block + 1])
     assert_same_bits(one_w, want_w[block:block + 1])
+
+
+def ref_reductions(ss, w, t, noise_lo, noise):
+    """The four reductions from ref_kernel_matrix: the reconstruction as
+    one einsum of the gathered samples, its largest error against f, the
+    noise response as one matrix product per run of a block's rows that
+    share a window start, and the largest row sum of |weights|."""
+    cfg, m = ss.cfg, ss.cfg.m
+    idx, weights = ref_kernel_matrix(w, cfg, t)
+    grid = np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
+    noise_max = 0.0
+    for rows in _block_rows(t.size, m):
+        start = idx[rows, m - 1] - (m - 1)
+        edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
+        for a, b in zip(edges[:-1], edges[1:]):
+            s = start[a] - noise_lo
+            response = weights[rows][a:b] @ noise[:, s:s + 2 * m].T
+            noise_max = max(noise_max, float(response.max()), -float(response.min()))
+    return grid, noise_max, float(np.max(np.sum(np.abs(weights), axis=1)))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("m", [2, 5, 8])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_reductions_bits(kind, m, threads, monkeypatch):
+    # Three blocks of random, on-grid and both end-of-set targets, on one
+    # thread and on three: every reduction equals its reference formula.
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: threads)
+    cfg = SamplingConfig(128, 1.0, 1 / 3, m)
+    w = default_params(kind, cfg)
+    f = TestFunction("sincband", cfg.delta)
+    lo, hi = -cfg.L - m, cfg.L + m
+    ss = sample(f, cfg, lo, hi)
+    block = _block_rows(KERNEL_WEIGHTS, m)[0].stop
+    rng = np.random.default_rng(m)
+    t = rng.uniform(-1.0, 1.0, 2 * block + 11)
+    t[::7] = rng.integers(lo, hi + 1, t[::7].size) / cfg.L
+    # The ends of the sample set read samples beyond it under zero weights.
+    t[[0, block - 1, block, -1]] = [lo / cfg.L, hi / cfg.L, lo / cfg.L, hi / cfg.L]
+    noise_lo = lo - m
+    noise = rng.uniform(-1e-3, 1e-3, (5, hi - lo + 1 + 2 * m))
+    grid, noise_max, lebesgue = ref_reductions(ss, w, t, noise_lo, noise)
+    assert_same_bits(reconstruct_grid(ss, w, t), grid)
+    assert approximation_error(ss, f, w, t) == np.max(np.abs(f(t) - grid))
+    assert noise_response_max(w, cfg, t, noise_lo, noise) == noise_max
+    assert noise_amplification(w, cfg, t) == lebesgue
+    # A target beyond every sample index, in the last block, and an on-grid
+    # one just off the set, in the second.
+    far = t.copy()
+    far[-3] = -2.0**62 / cfg.L
+    with pytest.raises(IndexOutOfRange, match=r"lies beyond every sample index"):
+        reconstruct_grid(ss, w, far)
+    with pytest.raises(IndexOutOfRange, match=r"lies beyond every sample index"):
+        approximation_error(ss, f, w, far)
+    with pytest.raises(IndexOutOfRange, match=r"lies beyond every sample index"):
+        noise_response_max(w, cfg, far, noise_lo, noise)
+    with pytest.raises(IndexOutOfRange, match=r"lies beyond every sample index"):
+        noise_amplification(w, cfg, far)
+    far[block + 1] = (hi + 1) / cfg.L
+    with pytest.raises(IndexOutOfRange, match=rf"needs sample index {hi + 1}; sample set covers \[{lo}, {hi}\]"):
+        reconstruct_grid(ss, w, far)
+
+
+def test_kernel_matrices_held_at_once_stay_independent():
+    # kernel_matrix outside a block returns new arrays: neither a second
+    # call nor a reduction, which reuses the thread's arena, touches them.
+    cfg = CFGS[0]
+    w = default_params(WindowKind.BSPLINE, cfg)
+    rng = np.random.default_rng(11)
+    t1, t2 = rng.uniform(-1.0, 1.0, 500), rng.uniform(-1.0, 1.0, 500)
+    first = kernel_matrix(w, cfg, t1)
+    kept = [a.copy() for a in first]
+    second = kernel_matrix(w, cfg, t2)
+    noise_amplification(w, cfg, t2)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    for got, want in zip(first, kept):
+        assert_same_bits(got, want)
+    assert_same_bits(second[1], ref_kernel_matrix(w, cfg, t2)[1])

@@ -296,12 +296,13 @@ def per_trial_reference(plan, cell_index):
     cfg = SamplingConfig(plan.N, lam, tau, m)
     w = default_params(kind, cfg)
     lo, hi = -cfg.L - m, cfg.L + m
-    idx, weights = kernel_matrix(w, cfg, np.linspace(-1.0, 1.0, plan.S))
+    start, weights = kernel_matrix(w, cfg, np.linspace(-1.0, 1.0, plan.S))
+    flat = np.add.outer(start - lo, np.arange(2 * m))
     measured = 0.0
     for trial in range(plan.trials):
         seed = np.random.SeedSequence((plan.seed, cell_index, trial))
         noise = _draw_noise(hi - lo + 1, plan.eps, seed)
-        diff = np.einsum("ij,ij->i", noise[idx - lo], weights)
+        diff = np.einsum("ij,ij->i", noise[flat], weights)
         measured = max(measured, float(np.max(np.abs(diff))))
     return measured
 

@@ -265,7 +265,7 @@ def test_far_target_rejected_before_index_cast(t, message):
 def test_far_target_has_no_kernel_row_and_no_lebesgue_value():
     # kernel_matrix leaves such a row without weights; every evaluator rejects it.
     w = default_params(WindowKind.GAUSS, CFG)
-    idx, weights = kernel_matrix(w, CFG, np.array([0.25, 3e17]))
+    _, weights = kernel_matrix(w, CFG, np.array([0.25, 3e17]))
     assert np.all(np.isfinite(weights[0])) and np.all(np.isnan(weights[1]))
     with pytest.raises(IndexOutOfRange, match=r"t = 3e\+17 lies beyond every sample index"):
         noise_amplification(w, CFG, np.array([0.25, 3e17]))
@@ -285,34 +285,40 @@ def test_non_finite_targets_rejected(bad):
 
 def test_kernel_matrix_shapes():
     m = CFG.m
-    idx, weights = kernel_matrix(default_params(WindowKind.SINH, CFG), CFG, np.array([0.3, 1.0, -0.5]))
-    assert idx.shape == weights.shape == (3, 2 * m)
+    start, weights = kernel_matrix(default_params(WindowKind.SINH, CFG), CFG, np.array([0.3, 1.0, -0.5]))
+    assert start.shape == (3,) and weights.shape == (3, 2 * m)
     k = int(np.floor(CFG.L * 0.3))
-    assert np.array_equal(idx[0], np.arange(k - m + 1, k + m + 1))
-    # An on-grid row t = j/L reads sample j alone, with a unit weight at column m - 1.
+    assert start[0] == k - m + 1
+    # An on-grid row t = j/L reads sample j alone, with a unit weight at
+    # column m - 1 of its window j - m + 1 .. j + m.
     unit = np.zeros(2 * m)
     unit[m - 1] = 1.0
     for row, j in ((1, CFG.L), (2, -CFG.L // 2)):
-        assert np.all(idx[row] == j)
+        assert start[row] == j - m + 1
         assert np.array_equal(weights[row], unit)
 
 
 @pytest.mark.parametrize("kind", list(WindowKind))
 def test_kernel_matrix_column_m_minus_1_is_window_start(kind):
-    # The row layout noise_response_max relies on: idx[:, m-1] - (m-1) is the
-    # window start floor(L*t) - m + 1 of every row, on the grid or off it.
+    # The row layout noise_response_max relies on: kernel_matrix's start is
+    # the window start floor(L*t) - m + 1 of every row, on the grid or off it.
     rng = np.random.default_rng(3)
     t = np.concatenate([rng.uniform(-1.0, 1.0, 500), np.arange(-CFG.L, CFG.L + 1) / CFG.L])
     rng.shuffle(t)
     m = CFG.m
-    idx, _ = kernel_matrix(default_params(kind, CFG), CFG, t)
-    assert np.array_equal(idx[:, m - 1] - (m - 1), np.floor(CFG.L * t).astype(np.int64) - m + 1)
+    start, _ = kernel_matrix(default_params(kind, CFG), CFG, t)
+    assert np.array_equal(start, np.floor(CFG.L * t).astype(np.int64) - m + 1)
 
 
 def whole_array_grid(ss, w, t):
     """One kernel_matrix over all targets, reduced with one einsum."""
-    idx, weights = kernel_matrix(w, ss.cfg, t)
-    return np.einsum("ij,ij->i", ss.values[idx - ss.index_lo], weights)
+    start, weights = kernel_matrix(w, ss.cfg, t)
+    return np.einsum("ij,ij->i", ss.values[window_indices(start - ss.index_lo, ss.cfg.m)], weights)
+
+
+def window_indices(start, m):
+    """The 2m sample positions of each row, from its window start."""
+    return np.add.outer(start, np.arange(2 * m))
 
 
 def test_kernel_blocks_tile_the_targets():
@@ -413,8 +419,9 @@ def test_noise_response_matches_gathered_sums():
     t[BLOCK - 1:BLOCK + 1] = [17 / CFG.L, -3 / CFG.L]
     lo, hi = -CFG.L - CFG.m, CFG.L + CFG.m
     noise = rng.uniform(-1e-3, 1e-3, (4, hi - lo + 1))
-    idx, weights = kernel_matrix(w, CFG, t)
-    want = max(float(np.max(np.abs(np.einsum("ij,ij->i", row[idx - lo], weights)))) for row in noise)
+    start, weights = kernel_matrix(w, CFG, t)
+    want = max(float(np.max(np.abs(np.einsum("ij,ij->i", row[window_indices(start - lo, CFG.m)], weights))))
+               for row in noise)
     got = noise_response_max(w, CFG, t, lo, noise)
     assert abs(got - want) <= 4 * np.spacing(want)
     # On-grid targets alone echo their own noise sample, exactly.
@@ -429,9 +436,8 @@ def serial_reductions(ss, w, t, noise):
     grid = np.empty(t.shape)
     noise_max = lebesgue = 0.0
     for rows in _block_rows(t.size, m):
-        idx, weights = kernel_matrix(w, cfg, t[rows])
-        grid[rows] = np.einsum("ij,ij->i", ss.values[idx - lo], weights)
-        start = idx[:, m - 1] - (m - 1)
+        start, weights = kernel_matrix(w, cfg, t[rows])
+        grid[rows] = np.einsum("ij,ij->i", ss.values[window_indices(start - lo, m)], weights)
         edges = [0, *(np.flatnonzero(np.diff(start)) + 1), start.size]
         for a, b in zip(edges[:-1], edges[1:]):
             s = start[a] - lo
@@ -493,6 +499,12 @@ def test_approximation_error_propagates_nan(monkeypatch):
         return y
 
     assert math.isnan(approximation_error(ss, f_with_nan, w, t))
+
+
+def test_approximation_error_needs_a_target():
+    ss = full_sample_set()
+    with pytest.raises(ValueError, match="need at least one target"):
+        approximation_error(ss, F, default_params(WindowKind.GAUSS, CFG), np.array([]))
 
 
 @pytest.mark.parametrize("m,blocks", [(5, 1), (2, 1), (2, 3)])
@@ -574,6 +586,33 @@ def test_grid_memory_does_not_grow_with_targets():
     # Blocks of a fixed size: only the output array grows (by 2.4 MB here),
     # where one whole-array kernel matrix would grow by hundreds of MB.
     assert peaks[400_000] - peaks[100_000] <= out.nbytes + (1 << 18)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+@pytest.mark.parametrize("kind", list(WindowKind))
+def test_reductions_reuse_the_arena(kind, m, monkeypatch):
+    # On one block thread, a second call of either reduction at S = 1e5
+    # allocates less than two blocks' weights (512 KiB): every block-sized
+    # buffer is the thread's arena, made by the first call.  Allocating
+    # the kernel matrix and the temporaries per block peaked near 2-2.6 MB.
+    import tracemalloc
+
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 1)
+    cfg = SamplingConfig(128, 1.0, 1 / 3, m)
+    w = default_params(kind, cfg)
+    f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
+    ss = sample(f, cfg, -cfg.L - m, cfg.L + m)
+    t = np.linspace(-1.0, 1.0, 100_000)
+    noise = np.random.default_rng(5).uniform(-1e-3, 1e-3, (10, len(ss)))
+    for call in (lambda: approximation_error(ss, f, w, t), lambda: noise_response_max(w, cfg, t, ss.index_lo, noise)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * KERNEL_WEIGHTS * 8
 
 
 # ---------------------------------------------------------------------------
