@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arena, specfun
+from . import specfun
 from .windows import SamplingConfig, WindowKind, WindowSpec, bspline_center_value, eval_truncated, eval_window
 
 
@@ -55,10 +55,7 @@ def sinc(x, out=None):
     its truncation error there is below 1e-28.  The result goes to ``out``
     if given (not ``x`` itself), else to a new array: sin and the division
     run in place there, and only the few small entries are overwritten with
-    the series.  Its one temporary, the mask of small entries, takes a byte
-    per entry and is allocated: sinc is the element function called most
-    often on small arrays outside kernel blocks (the band tails, the test
-    functions), where an arena frame would cost more than the mask.
+    the series.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x) if out is None else out
@@ -86,16 +83,13 @@ def psi(k: KernelEval, x, out=None):
 
     psi(0) = 1 and psi(l/L) = 0 for integer l != 0, so reconstruction with
     psi interpolates the samples.  Zero outside [-m/L, m/L].  The result
-    goes to ``out`` if given (not ``x`` itself), else to a new array; the
-    sinc argument, which then holds the window, comes from arena.empty.
+    goes to ``out`` if given (not ``x`` itself), else to a new array.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x) if out is None else out
-    with arena.frame():
-        arg = np.multiply(x, k.cfg.L * math.pi, out=arena.empty(x.shape))
-        sinc(arg, out=out)
-        eval_truncated(k.window, k.cfg, x, out=arg)
-        out *= arg
+    arg = np.multiply(x, k.cfg.L * math.pi, out=np.empty_like(x))
+    sinc(arg, out=out)
+    out *= eval_truncated(k.window, k.cfg, x, out=arg)
     return out if out.ndim else float(out)
 
 

@@ -9,35 +9,12 @@ and R interpolates the samples exactly on (1/L)*Z.  A perturbed signal is
 plain sample data: perturb returns the samples f(l/L) + eps_l, which every
 evaluator reads like any other sample set.
 
-Every evaluation goes through one block evaluator, _map_blocks, which
-builds the 2m-wide kernel matrix of KERNEL_WEIGHTS // (2m) targets at a
-time and reduces it, so a block holds the same number of weights at every
-m.  Every row is laid out from its window start k - m + 1: column j holds
-the weight of sample k - m + 1 + j, and an on-grid target j/L has a unit
-weight at column m - 1 and zeros elsewhere, so it reads sample j alone.
-kernel_matrix builds no index matrix: the offsets come from the float
-k + j, and only a reduction that reads the samples builds their positions,
-in an arena buffer.  Each block runs in its thread's arena (arena.block): the
-kernel matrix, the temporaries of the element functions and the gathered
-samples reuse the same few block-sized buffers from block to block, and
-nothing of one block is kept for the next.  The four reductions of the
-operator are its only callers: reconstruct_grid reduces each block against
-the samples, so a point gets the same value alone or in a grid;
-approximation_error does the same and reduces each block's row sums at
-once to its largest |f - Rf|, so it holds no array the size of the
-targets; noise_response_max reduces each block against a whole matrix of
-noise trials at once, with one small matrix product per run of targets
-that share a window; noise_amplification takes each row's sum of
-|weights|, the Lebesgue function behind the robustness bounds.  A call of
-more than one block runs its blocks on up to usable_cpu_count() threads
-(numpy releases the GIL in the element functions, the gathers and the
-matrix products), each with its own arena, so memory stays bounded however
-many targets there are.  While they run, numpy's BLAS is held to one
-thread (one_blas_thread), so its own threads do not compete with the
-blocks'.  Each block is computed exactly as alone, so the thread count
-changes no bit.  Every reduction leaves the decision whether a block's
-samples are present to one helper, _require_covered, which names the first
-target that lacks some.
+The four reductions of the operator (reconstruct_grid, approximation_error,
+noise_response_max, noise_amplification) are the only callers of one block
+evaluator, _map_blocks, which builds the kernel matrix (kernel_matrix) a
+block of targets at a time, so memory stays bounded however many targets
+there are.  Whether a block's samples are present is decided by one helper,
+_require_covered.
 """
 
 from __future__ import annotations
@@ -51,7 +28,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import arena
 from .kernel import KernelEval, NonFiniteInput, check_finite, psi, sinc
 from .windows import SamplingConfig, WindowSpec
 
@@ -158,13 +134,11 @@ def perturb(ss: SampleSet, eps: float, seed: int) -> SampleSet:
 
 
 # Kernel weights per block of the batched evaluators, whatever m is: a
-# block has 2**15 // (2m) targets, and each block-sized buffer of its arena
-# takes 256 KB.  The B-spline window, the deepest path, holds six of them at
-# once, 1.5 MB.  Smaller blocks pay more often a fixed cost of some 50 us
-# per block in numpy calls: 2**13 cut the window's time per weight by a
-# third but lost it again to that cost.  On 2 cores, 2**14 ran the
-# benchmark's approx and perturb rounds 20-30% slower, and 2**16 raised
-# their peak RSS by 5%.
+# block has 2**15 // (2m) targets, and each block-sized array takes 256 KB.
+# Smaller blocks pay more often a fixed cost of some 50 us per block in numpy
+# calls: 2**13 cut the window's time per weight by a third but lost it again
+# to that cost.  On 2 cores, 2**14 ran the benchmark's approx and perturb
+# rounds 20-30% slower, and 2**16 raised their peak RSS by 5%.
 KERNEL_WEIGHTS = 1 << 15
 
 # |L*t| at and beyond which no int64 sample index reaches a target.
@@ -183,10 +157,6 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     columns are 0.  A target with |t| >= 2**62/L lies beyond every int64
     sample index: its row has NaN weights, and the batched evaluators reject
     it (_require_covered) at its place in target order.
-
-    Inside a kernel block (arena.block) the weights are a view of the
-    thread's arena, valid until the block ends; elsewhere they are a new
-    array.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -198,12 +168,10 @@ def kernel_matrix(w: WindowSpec, cfg: SamplingConfig, t):
     Lt = L * tk
     k = np.floor(Lt)
     ongrid = Lt == k
-    weights = arena.empty((t.size, 2 * m))
-    with arena.frame():
-        x = np.add(k[:, None], np.arange(-m + 1, m + 1, dtype=float), out=arena.empty(weights.shape))
-        x /= L
-        np.subtract(tk[:, None], x, out=x)
-        psi(KernelEval(w, cfg), x, out=weights)
+    x = k[:, None] + np.arange(-m + 1, m + 1, dtype=float)
+    x /= L
+    np.subtract(tk[:, None], x, out=x)
+    weights = psi(KernelEval(w, cfg), x)
     if ongrid.any():
         weights[ongrid] = 0.0
         weights[ongrid, m - 1] = 1.0
@@ -329,13 +297,11 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     0, width, 2*width, ... and width - 1 threads of the process's pool the
     other residues, with numpy's BLAS held to one thread.  A single block,
     or any call in a forked child, runs on the calling thread alone and
-    starts no thread.  Each block runs in arena.block, so its kernel matrix,
-    the temporaries of the element functions and the reduction's gathered
-    samples reuse the thread's arena buffers: reduce must not keep weights
-    beyond its return.  Each block is built and reduced exactly as it would
-    be alone, so the results do not depend on the number of threads.  When
-    blocks raise, the first of them in block order raises here, as a loop
-    over the blocks would.
+    starts no thread; numpy releases the GIL in the element functions, the
+    gathers and the matrix products.  Each block is built and reduced
+    exactly as it would be alone, so the results do not depend on the number
+    of threads.  When blocks raise, the first of them in block order raises
+    here, as a loop over the blocks would.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -345,11 +311,9 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
 
     def run(first, step):
         for i in range(first, len(blocks), step):
-            targets = t[blocks[i]]
             try:
-                with arena.block(targets.size * 2 * cfg.m):
-                    start, weights = kernel_matrix(w, cfg, targets)
-                    results[i] = reduce(blocks[i], start, weights)
+                start, weights = kernel_matrix(w, cfg, t[blocks[i]])
+                results[i] = reduce(blocks[i], start, weights)
             except Exception as exc:  # re-raised by the caller if no earlier block failed
                 return i, exc
         return len(blocks), None
@@ -391,10 +355,9 @@ def _row_sums(ss: SampleSet, t, start, weights, out=None) -> np.ndarray:
     unless the sample set covers every row's span; an on-grid row's span is
     its one sample, at column m - 1.
 
-    The samples are gathered by one take of the block's sample positions,
-    built in one arena buffer.  mode="clip" lets an on-grid row at the edge
-    of the set read the edge sample in place of the missing ones, under
-    zero weights.
+    The samples are gathered by one take of the block's sample positions.
+    mode="clip" lets an on-grid row at the edge of the set read the edge
+    sample in place of the missing ones, under zero weights.
     """
     m = ss.cfg.m
     first, last = start, start + (2 * m - 1)
@@ -404,8 +367,7 @@ def _row_sums(ss: SampleSet, t, start, weights, out=None) -> np.ndarray:
         ongrid = Lt == np.floor(Lt)
         first, last = first + (m - 1) * ongrid, last - m * ongrid
     _require_covered(ss.cfg, t, first, last, ss.index_lo, ss.index_hi, "sample set")
-    index = np.add((start - ss.index_lo)[:, None], np.arange(2 * m), out=arena.empty(weights.shape, np.intp))
-    samples = ss.values.take(index, out=arena.empty(weights.shape), mode="clip")
+    samples = ss.values.take((start - ss.index_lo)[:, None] + np.arange(2 * m), mode="clip")
     return np.einsum("ij,ij->i", samples, weights, out=out)
 
 
@@ -460,11 +422,18 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
     the runs long).  kernel_matrix puts an on-grid row's unit weight at
     column m - 1 of that window, so every row, on the grid or off it, reads
     all of it: a target whose window the noise lacks raises IndexOutOfRange.
+    No targets, no trials and non-finite noise (NonFiniteInput) raise
+    ValueError.
     """
     t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ValueError("need at least one target")
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 2:
         raise ValueError("noise must be a (trials, n) matrix")
+    if not noise.shape[0]:
+        raise ValueError("need at least one noise trial")
+    check_finite("noise", noise)
     m2 = 2 * cfg.m
     index_hi = index_lo + noise.shape[1] - 1
 
@@ -478,7 +447,7 @@ def noise_response_max(w: WindowSpec, cfg: SamplingConfig, t, index_lo: int, noi
             worst = max(worst, float(response.max()), -float(response.min()))
         return worst
 
-    return max(_map_blocks(w, cfg, t, reduce), default=0.0)
+    return max(_map_blocks(w, cfg, t, reduce))
 
 
 def noise_amplification(w: WindowSpec, cfg: SamplingConfig, t) -> float:
@@ -563,13 +532,13 @@ def load_samples(path, cfg: SamplingConfig) -> SampleSet:
         if not rows:
             continue
         if not _one_comma_per_row(rows):
-            raise _bad_row(path, text)
+            raise _scan_rows(path, text)
         fields = rows.replace("\n", ",").split(",")
         try:
             indices = list(map(int, fields[0::2]))
             chunks.append(np.fromiter(map(float, fields[1::2]), float, len(indices)))
         except ValueError:
-            raise _bad_row(path, text) from None
+            raise _scan_rows(path, text) from None
         if not n:
             lo = indices[0]
         if gap is None and indices != list(range(lo + n, lo + n + len(indices))):
@@ -580,34 +549,28 @@ def load_samples(path, cfg: SamplingConfig) -> SampleSet:
     if gap is not None:
         k, index = gap
         raise ValueError(
-            f"{path}, line {_row_line(text, k)}: sample indices must be contiguous and ascending, "
+            f"{path}, line {_scan_rows(path, text, k)}: sample indices must be contiguous and ascending, "
             f"expected {lo + k}, got {index}"
         )
     values = np.concatenate(chunks)
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise NonFiniteInput(f"{path}, line {_row_line(text, k)}: sample values must be finite, got {float(values[k])!r}")
+        raise NonFiniteInput(f"{path}, line {_scan_rows(path, text, k)}: sample values must be finite, got {float(values[k])!r}")
     return SampleSet(cfg, lo, lo + n - 1, values)
 
 
-def _numbered_rows(text: str):
-    """(line number, stripped line) for each line of a sample file's
-    ``text`` after the header line that is not blank."""
+def _scan_rows(path, text: str, k=None):
+    """One walk over the rows of a sample file's ``text``, its non-blank
+    lines after the header: the line number of row k, or the ValueError for
+    the first row that is not two fields that int() and float() accept."""
+    row = 0
     for lineno, line in enumerate(text.split("\n")[1:], start=2):
-        if line := line.strip():
-            yield lineno, line
-
-
-def _row_line(text: str, k: int) -> int:
-    """Line number of row k of a sample file's ``text``."""
-    return [lineno for lineno, _ in _numbered_rows(text)][k]
-
-
-def _bad_row(path, text: str) -> ValueError:
-    """The error for the first row of a sample file's ``text`` that is not
-    two fields that int() and float() accept."""
-    for lineno, line in _numbered_rows(text):
+        if not (line := line.strip()):
+            continue
+        if row == k:
+            return lineno
+        row += 1
         try:
             s_idx, s_val = line.split(",")
             int(s_idx)

@@ -21,8 +21,6 @@ from math import comb, factorial
 
 import numpy as np
 
-from . import arena
-
 
 class InvalidOrder(ValueError):
     """B-spline order must be an even integer >= 2."""
@@ -76,7 +74,7 @@ def cardinal_bspline(order_2s, x, out=None):
     result is exactly 0 for |x| >= s.  NaN propagates.
 
     The result goes to ``out`` if given, which may be ``x`` itself, else to
-    a new array; the three temporaries come from arena.empty.
+    a new array.
     """
     order = int(order_2s)
     if order != order_2s or order < 2 or order % 2:
@@ -84,24 +82,22 @@ def cardinal_bspline(order_2s, x, out=None):
     s = order // 2
     coef = _bspline_pieces(s)
     x = np.asarray(x, dtype=float)
-    with arena.frame():
-        u = np.abs(x, out=arena.empty(x.shape))
-        np.subtract(s, u, out=u)  # w = s - |x|
-        # fmax maps NaN to piece 0, where u keeps the NaN; |x| >= s gives u = 0.
-        p = np.fmax(u, 0.0, out=arena.empty(x.shape))
-        np.minimum(p, s - 1, out=p)
-        np.floor(p, out=p)
-        np.subtract(u, p, out=u)
-        np.maximum(u, 0.0, out=u)
-        piece = arena.empty(x.shape, np.intp)
-        np.copyto(piece, p, casting="unsafe")  # p.astype(np.intp)
-        # Horner's rule; p is spent, so it holds each row's gathered
-        # coefficients (mode="clip" lets take write into its out unbuffered:
-        # piece is in 0..s-1).
-        out = coef[-1].take(piece, out=out, mode="clip")
-        for row in coef[-2::-1]:
-            out *= u
-            out += row.take(piece, out=p, mode="clip")
+    u = np.abs(x, out=np.empty_like(x))
+    np.subtract(s, u, out=u)  # w = s - |x|
+    # fmax maps NaN to piece 0, where u keeps the NaN; |x| >= s gives u = 0.
+    p = np.fmax(u, 0.0, out=np.empty_like(x))
+    np.minimum(p, s - 1, out=p)
+    np.floor(p, out=p)
+    np.subtract(u, p, out=u)
+    np.maximum(u, 0.0, out=u)
+    piece = p.astype(np.intp)
+    # Horner's rule; p is spent, so it holds each row's gathered
+    # coefficients (mode="clip" lets take write into its out unbuffered:
+    # piece is in 0..s-1).
+    out = coef[-1].take(piece, out=out, mode="clip")
+    for row in coef[-2::-1]:
+        out *= u
+        out += row.take(piece, out=p, mode="clip")
     return out if out.ndim else float(out)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import arena, specfun
+from . import specfun
 
 
 class InvalidConfig(ValueError):
@@ -203,8 +203,7 @@ def eval_window(w: WindowSpec, cfg: SamplingConfig, x, out=None):
     (1-exp(-2*beta)) with u = sqrt(max(1-(Lx/m)^2, 0)), which never
     overflows; fmax maps NaN to u = 0 as it does |Lx/m| >= 1, and u = 0
     gives exactly +0.0.  The result goes to ``out`` if given, which may be
-    ``x`` itself, else to a new array, and each kind works in place there;
-    the sinh window takes one temporary from arena.empty.
+    ``x`` itself, else to a new array, and each kind works in place there.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x) if out is None else out
@@ -225,20 +224,19 @@ def eval_window(w: WindowSpec, cfg: SamplingConfig, x, out=None):
         out /= bspline_center_value(w.s)
     else:
         beta = w.beta
-        with arena.frame():
-            u = np.multiply(x, cfg.L, out=arena.empty(x.shape))
-            u /= cfg.m
-            np.multiply(u, u, out=u)
-            np.subtract(1.0, u, out=u)
-            np.fmax(u, 0.0, out=u)
-            np.sqrt(u, out=u)
-            np.subtract(u, 1.0, out=out)
-            out *= beta
-            np.exp(out, out=out)
-            u *= -2.0 * beta
-            np.expm1(u, out=u)
-            np.negative(u, out=u)
-            out *= u
+        u = np.multiply(x, cfg.L, out=np.empty_like(x))
+        u /= cfg.m
+        np.multiply(u, u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.fmax(u, 0.0, out=u)
+        np.sqrt(u, out=u)
+        np.subtract(u, 1.0, out=out)
+        out *= beta
+        np.exp(out, out=out)
+        u *= -2.0 * beta
+        np.expm1(u, out=u)
+        np.negative(u, out=u)
+        out *= u
         out /= -math.expm1(-2.0 * beta)
     return out if out.ndim else float(out)
 
@@ -249,16 +247,12 @@ def eval_truncated(w: WindowSpec, cfg: SamplingConfig, x, out=None):
     Identical to eval_window except for the Gaussian, whose infinite support
     is clipped here.  The indicator is closed, so the rectangular window is
     1 at |x| = m/L while B-spline and sinh are 0 there by continuity.  The
-    result goes to ``out`` if given (not ``x`` itself), else to a new array;
-    the Gaussian's clip takes two temporaries from arena.empty.
+    result goes to ``out`` if given (not ``x`` itself), else to a new array.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x) if out is None else out
     eval_window(w, cfg, x, out=out)
     if w.kind is WindowKind.GAUSS:
-        with arena.frame():
-            outside = np.less_equal(np.abs(x, out=arena.empty(x.shape)), cfg.m / cfg.L,
-                                    out=arena.empty(x.shape, bool))
-            np.logical_not(outside, out=outside)  # as np.where: NaN maps to 0
-            np.copyto(out, 0.0, where=outside)
+        # not(|x| <= m/L) rather than |x| > m/L, as np.where: NaN maps to 0
+        np.copyto(out, 0.0, where=~(np.abs(x) <= cfg.m / cfg.L))
     return out if out.ndim else float(out)

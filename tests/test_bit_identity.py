@@ -1,9 +1,9 @@
 """Bit-identity witness for the kernel-matrix layers.
 
 The element functions (sinc, the windows, the B-spline) and kernel_matrix
-work in place, inside a kernel block in the thread's arena buffers.  Their results must not move by a single
-bit: the benchmark's reference and the preset CSVs depend on the rounding of
-every step.  The reference formulas below are the straightforward forms the
+work in place.  Their results must not move by a single bit: the
+benchmark's reference and the preset CSVs depend on the rounding of every
+step.  The reference formulas below are the straightforward forms the
 package evaluated before, one temporary per operation; a reordered or fused
 step in the package makes one of these comparisons fail.
 """
@@ -249,8 +249,8 @@ def test_reductions_bits(kind, m, threads, monkeypatch):
 
 
 def test_kernel_matrices_held_at_once_stay_independent():
-    # kernel_matrix outside a block returns new arrays: neither a second
-    # call nor a reduction, which reuses the thread's arena, touches them.
+    # kernel_matrix returns new arrays: neither a second call nor a
+    # reduction touches them.
     cfg = CFGS[0]
     w = default_params(WindowKind.BSPLINE, cfg)
     rng = np.random.default_rng(11)

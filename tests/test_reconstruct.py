@@ -410,6 +410,32 @@ def test_noise_response_out_of_range_names_first_uncovered_target(t, message):
         noise_response_max(w, CFG, np.array(t), -140, noise)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_response_rejects_non_finite_noise(bad):
+    # One non-finite entry, or all of them, raises instead of dropping out
+    # of the maximum.
+    w = default_params(WindowKind.GAUSS, CFG)
+    t = np.linspace(-0.5, 0.5, 101)
+    noise = np.random.default_rng(6).uniform(-1.0, 1.0, (3, 281))
+    noise[1, 140] = bad
+    with pytest.raises(NonFiniteInput, match=r"noise must be finite"):
+        noise_response_max(w, CFG, t, -140, noise)
+    with pytest.raises(NonFiniteInput, match=r"noise must be finite"):
+        noise_response_max(w, CFG, t, -140, np.full((3, 281), bad))
+
+
+def test_noise_response_needs_a_target():
+    w = default_params(WindowKind.GAUSS, CFG)
+    with pytest.raises(ValueError, match="need at least one target"):
+        noise_response_max(w, CFG, np.array([]), -140, np.zeros((2, 281)))
+
+
+def test_noise_response_needs_a_trial():
+    w = default_params(WindowKind.GAUSS, CFG)
+    with pytest.raises(ValueError, match="need at least one noise trial"):
+        noise_response_max(w, CFG, np.linspace(-0.5, 0.5, 11), -140, np.zeros((0, 281)))
+
+
 def test_noise_response_matches_gathered_sums():
     # Unsorted targets with on-grid points at a block edge, against an
     # explicit gather of every trial.
@@ -569,50 +595,40 @@ def test_first_failing_block_raises_when_a_later_one_fails_first(monkeypatch):
         noise_response_max(w, CFG, t, ss.index_lo, noise)
 
 
-def test_grid_memory_does_not_grow_with_targets():
-    import tracemalloc
-
-    ss = full_sample_set()
-    w = default_params(WindowKind.GAUSS, CFG)
-    peaks = {}
-    for S in (100_000, 400_000):
-        t = np.linspace(-1.0, 1.0, S)
-        tracemalloc.start()
-        try:
-            out = reconstruct_grid(ss, w, t)
-            peaks[S] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # Blocks of a fixed size: only the output array grows (by 2.4 MB here),
-    # where one whole-array kernel matrix would grow by hundreds of MB.
-    assert peaks[400_000] - peaks[100_000] <= out.nbytes + (1 << 18)
-
-
-@pytest.mark.parametrize("m", [2, 8])
-@pytest.mark.parametrize("kind", list(WindowKind))
-def test_reductions_reuse_the_arena(kind, m, monkeypatch):
-    # On one block thread, a second call of either reduction at S = 1e5
-    # allocates less than two blocks' weights (512 KiB): every block-sized
-    # buffer is the thread's arena, made by the first call.  Allocating
-    # the kernel matrix and the temporaries per block peaked near 2-2.6 MB.
+def test_grid_memory_does_not_grow_with_targets(monkeypatch):
+    # On one block thread each reduction holds only a few blocks' arrays at
+    # once, whatever the number of targets.  Beyond its output, a call's
+    # tracemalloc peak stays below 8 blocks' weights (2 MiB; the B-spline
+    # window, the deepest path, peaks near 7.9) at S = 1e5 and 4e5, and
+    # grows by at most 256 KiB between them, where one whole-array kernel
+    # matrix would grow by tens of MB.
     import tracemalloc
 
     monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 1)
-    cfg = SamplingConfig(128, 1.0, 1 / 3, m)
-    w = default_params(kind, cfg)
-    f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
-    ss = sample(f, cfg, -cfg.L - m, cfg.L + m)
-    t = np.linspace(-1.0, 1.0, 100_000)
-    noise = np.random.default_rng(5).uniform(-1e-3, 1e-3, (10, len(ss)))
-    for call in (lambda: approximation_error(ss, f, w, t), lambda: noise_response_max(w, cfg, t, ss.index_lo, noise)):
-        call()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * KERNEL_WEIGHTS * 8
+    for m in (2, 8):
+        cfg = SamplingConfig(128, 1.0, 1 / 3, m)
+        w = default_params(WindowKind.BSPLINE, cfg)
+        f = TestFunction(TestFunctionKind.SINC_BAND, delta=cfg.delta)
+        ss = full_sample_set(cfg, f)
+        noise = np.random.default_rng(5).uniform(-1e-3, 1e-3, (10, len(ss)))
+        reductions = {
+            "reconstruct_grid": lambda t: reconstruct_grid(ss, w, t),
+            "approximation_error": lambda t: approximation_error(ss, f, w, t),
+            "noise_response_max": lambda t: noise_response_max(w, cfg, t, ss.index_lo, noise),
+            "noise_amplification": lambda t: noise_amplification(w, cfg, t),
+        }
+        for name, call in reductions.items():
+            beyond_output = {}
+            for S in (100_000, 400_000):
+                t = np.linspace(-1.0, 1.0, S)
+                tracemalloc.start()
+                try:
+                    out = call(t)
+                    beyond_output[S] = tracemalloc.get_traced_memory()[1] - np.asarray(out).nbytes
+                finally:
+                    tracemalloc.stop()
+                assert beyond_output[S] < 8 * KERNEL_WEIGHTS * 8, (name, m, S)
+            assert beyond_output[400_000] - beyond_output[100_000] <= 1 << 18, (name, m)
 
 
 # ---------------------------------------------------------------------------
