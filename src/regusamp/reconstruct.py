@@ -196,13 +196,16 @@ def usable_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# The process's pool of usable_cpu_count() - 1 threads, which work beside
-# the calling thread.  It is made on first use, and each thread starts only
-# when a call has blocks for it.  A forked child never touches its parent's
-# pool: it evaluates its blocks inline, which also keeps a pool of N worker
-# processes at N busy threads.
+# The process's pool of usable_cpu_count() threads, which evaluate the
+# blocks of a call while the caller waits.  It is made on first use, and each
+# thread starts only when a call has blocks for it.  Calls made on its threads
+# (_pool_thread.inline is set there) and in a forked child evaluate their
+# blocks inline: the first would wait on the pool from inside it, the second
+# on its parent's; inline children also keep N worker processes at N busy
+# threads.
 _pool = None
 _pool_lock = threading.Lock()
+_pool_thread = threading.local()
 _forked_child = False
 
 
@@ -221,7 +224,8 @@ def _block_pool():
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max(1, usable_cpu_count() - 1), thread_name_prefix="regusamp-blocks")
+            _pool = ThreadPoolExecutor(usable_cpu_count(), thread_name_prefix="regusamp-blocks",
+                                       initializer=setattr, initargs=(_pool_thread, "inline", True))
         return _pool
 
 
@@ -292,43 +296,39 @@ def _map_blocks(w: WindowSpec, cfg: SamplingConfig, t, reduce) -> list:
     where (start, weights) = kernel_matrix(w, cfg, t[rows]), in block order.
 
     Every batched evaluation (reconstruct_grid, approximation_error,
-    noise_response_max, noise_amplification) goes through here.  With width
-    = min(blocks, usable_cpu_count()), the calling thread reduces blocks
-    0, width, 2*width, ... and width - 1 threads of the process's pool the
-    other residues, with numpy's BLAS held to one thread.  A single block,
-    or any call in a forked child, runs on the calling thread alone and
-    starts no thread; numpy releases the GIL in the element functions, the
-    gathers and the matrix products.  Each block is built and reduced
-    exactly as it would be alone, so the results do not depend on the number
-    of threads.  When blocks raise, the first of them in block order raises
-    here, as a loop over the blocks would.
+    noise_response_max, noise_amplification) goes through here.  The blocks
+    go in block order to the queue of the process's pool while the caller
+    waits, with numpy's BLAS held to one thread; numpy releases the GIL in
+    the element functions, the gathers and the matrix products.  They run
+    inline, starting no thread, when there is one block or one usable CPU,
+    in a forked child, and in a call made on a pool thread (by a block's f
+    that reconstructs, say).  Each block is built and reduced exactly as it
+    would be alone, so the results do not depend on the number of threads.
+    The first block in block order that raises raises here, as in a loop
+    over the blocks; then, or on an interrupt, the blocks not yet started
+    are cancelled and the started ones waited for.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValueError("t must be one-dimensional")
     blocks = _block_rows(t.size, cfg.m)
-    results = [None] * len(blocks)
 
-    def run(first, step):
-        for i in range(first, len(blocks), step):
-            try:
-                start, weights = kernel_matrix(w, cfg, t[blocks[i]])
-                results[i] = reduce(blocks[i], start, weights)
-            except Exception as exc:  # re-raised by the caller if no earlier block failed
-                return i, exc
-        return len(blocks), None
+    def run(rows):
+        start, weights = kernel_matrix(w, cfg, t[rows])
+        return reduce(rows, start, weights)
 
-    width = min(len(blocks), usable_cpu_count())
-    if width <= 1 or _forked_child:
-        stops = [run(0, 1)]
-    else:
-        with one_blas_thread():
-            futures = [_block_pool().submit(run, first, width) for first in range(1, width)]
-            stops = [run(0, width), *(f.result() for f in futures)]
-    _, exc = min(stops, key=lambda stop: stop[0])
-    if exc is not None:
-        raise exc
-    return results
+    if len(blocks) <= 1 or usable_cpu_count() == 1 or _forked_child or getattr(_pool_thread, "inline", False):
+        return [run(rows) for rows in blocks]
+    from concurrent.futures import wait
+
+    with one_blas_thread():
+        futures = [_block_pool().submit(run, rows) for rows in blocks]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
 
 def _require_covered(cfg: SamplingConfig, t, first, last, lo: int, hi: int, what: str) -> None:

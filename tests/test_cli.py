@@ -74,7 +74,8 @@ IMPORT_PATH_PROBE = """
 import contextlib, io, json, os, sys, threading
 root, samples, plan = sys.argv[1:]
 sys.path.insert(0, root)
-HEAVY = ("scipy.special", "scipy.integrate", "concurrent.futures.process", "concurrent.futures.thread")
+HEAVY = ("scipy.special", "scipy.integrate", "concurrent.futures", "concurrent.futures.process",
+         "concurrent.futures.thread", "logging")
 
 def loaded(step):
     print(json.dumps({"step": step, **{name: name in sys.modules for name in HEAVY}}))
@@ -102,16 +103,19 @@ def test_import_path_loads_scipy_special_on_first_use(sample_csv, tmp_path):
     # (erfc, J1, I1e) loads when bounds first needs it, scipy.integrate with
     # the quadrature oracles, the process pool with jobs > 1 and the thread
     # pool with the first call of several kernel blocks; one block starts
-    # no thread.
+    # no thread and loads neither concurrent.futures nor, with it, logging.
     plan = tmp_path / "clean.plan"
     plan.write_text(PLAN_TEXT.replace("windows = gauss,sinh", "windows = rect,gauss,bspline,sinh"))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_PROBE, PACKAGE_ROOT, str(sample_csv[0]), str(plan)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     steps = {s.pop("step"): s for s in map(json.loads, proc.stdout.splitlines())}
-    assert steps["import"] == {"scipy.special": False, "scipy.integrate": False,
-                               "concurrent.futures.process": False, "concurrent.futures.thread": False}
+    assert steps["import"] == {"scipy.special": False, "scipy.integrate": False, "concurrent.futures": False,
+                               "concurrent.futures.process": False, "concurrent.futures.thread": False,
+                               "logging": False}
     assert steps["reconstruct"]["concurrent.futures.thread"] is False
+    assert steps["reconstruct"]["concurrent.futures"] is False
+    assert steps["reconstruct"]["logging"] is False
     assert steps["reconstruct+experiment"]["scipy.special"] is False
     assert steps["bounds"]["scipy.special"] is True
 

@@ -1,6 +1,8 @@
 """Reconstruction operator: interpolation, locality, linearity, noise."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -509,7 +511,7 @@ def test_threaded_blocks_bit_equal_to_serial_loop(kind, monkeypatch):
         assert approximation_error(ss, f, w, t) == np.max(np.abs(f(t) - grid))
         assert noise_response_max(w, cfg, t, ss.index_lo, noise) == noise_max
         assert noise_amplification(w, cfg, t) == lebesgue
-        assert len(threads) > 1
+        assert threads and threading.get_ident() not in threads
 
 
 def test_approximation_error_propagates_nan(monkeypatch):
@@ -535,8 +537,8 @@ def test_approximation_error_needs_a_target():
 
 @pytest.mark.parametrize("m,blocks", [(5, 1), (2, 1), (2, 3)])
 def test_threads_only_for_several_blocks(m, blocks, monkeypatch):
-    # One block starts no thread; several blocks use the pool, even at the
-    # narrowest window, 2m = 4.
+    # One block starts no thread; several blocks run on the pool while the
+    # caller waits, even at the narrowest window, 2m = 4.
     monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
     cfg = SamplingConfig(128, 1.0, 1 / 3, m)
     ss = full_sample_set(cfg)
@@ -547,7 +549,7 @@ def test_threads_only_for_several_blocks(m, blocks, monkeypatch):
         assert threads == {threading.get_ident()}
         assert threading.active_count() == before
     else:
-        assert len(threads) > 1
+        assert threads and threading.get_ident() not in threads
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
@@ -593,6 +595,71 @@ def test_first_failing_block_raises_when_a_later_one_fails_first(monkeypatch):
     noise = np.zeros((2, len(ss)))
     with pytest.raises(IndexOutOfRange, match=r"t = 0\.9 requires"):
         noise_response_max(w, CFG, t, ss.index_lo, noise)
+
+
+def test_failing_block_cancels_the_blocks_not_started(monkeypatch):
+    # Block 0 of 16 leaves the data, and every other block takes 20 ms: the
+    # error raises, fewer than half of the blocks ever start, and none
+    # starts after the call has raised.
+    monkeypatch.setattr(reconstruct_mod, "usable_cpu_count", lambda: 3)
+    ss = sample(F, CFG, -140, 140)
+    w = default_params(WindowKind.GAUSS, CFG)
+    t = np.linspace(-0.5, 0.5, 16 * BLOCK)
+    t[3] = 0.9
+    started = []
+    real = reconstruct_mod.kernel_matrix
+
+    def spy(w, cfg, targets):
+        started.append(targets[0])
+        if 0.9 not in targets:
+            time.sleep(0.02)
+        return real(w, cfg, targets)
+
+    monkeypatch.setattr(reconstruct_mod, "kernel_matrix", spy)
+    with pytest.raises(IndexOutOfRange, match=r"t = 0\.9 requires"):
+        reconstruct_grid(ss, w, t)
+    at_raise = len(started)
+    time.sleep(0.2)
+    assert len(started) == at_raise < 8
+
+
+# Run in a fresh interpreter with the package root as argument: the error
+# of the sinh reconstruction against an f that is the Gaussian one, which
+# reconstructs three blocks of targets for each block of the outer call, on
+# two usable CPUs and then on one.  Exit status 0 when both give the same
+# nonzero error.
+NESTED_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import regusamp.reconstruct as rec
+from regusamp import SamplingConfig, default_params
+
+cfg = SamplingConfig(128, 1.0, 1 / 3, 5)
+ss = rec.sample(rec.TestFunction("sincband", cfg.delta), cfg, -cfg.L - 5, cfg.L + 5)
+gauss, sinh = default_params("gauss", cfg), default_params("sinh", cfg)
+
+def f(x):
+    return rec.reconstruct_grid(ss, gauss, np.tile(x, 3))[:x.size]
+
+t = np.linspace(-1.0, 1.0, 3 * rec._block_rows(rec.KERNEL_WEIGHTS, 5)[0].stop)
+rec.usable_cpu_count = lambda: 2
+threaded = rec.approximation_error(ss, f, sinh, t)
+rec.usable_cpu_count = lambda: 1
+sys.exit(0 if threaded == rec.approximation_error(ss, f, sinh, t) > 0 else 1)
+"""
+
+
+def test_block_f_may_reconstruct():
+    # The f of a block runs on one of the pool's threads; its own call of
+    # several blocks must run there inline, not wait on the pool from inside
+    # it.  The probe hangs when it waits, so it runs under a timeout.
+    root = os.path.dirname(os.path.dirname(reconstruct_mod.__file__))
+    try:
+        proc = subprocess.run([sys.executable, "-c", NESTED_PROBE, root], capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("approximation_error hung on an f that reconstructs")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_grid_memory_does_not_grow_with_targets(monkeypatch):
